@@ -1,5 +1,7 @@
 #include "crypto/xtea.hpp"
 
+#include <algorithm>
+
 #include "crypto/sha256.hpp"
 
 namespace tmg::crypto {
@@ -59,9 +61,9 @@ void xtea_ctr_apply(const XteaKey& key, std::uint64_t nonce,
   }
 }
 
-std::vector<std::uint8_t> seal_u64(const XteaKey& key, std::uint64_t nonce,
-                                   std::uint64_t value) {
-  std::vector<std::uint8_t> out(8);
+std::array<std::uint8_t, 8> seal_u64(const XteaKey& key, std::uint64_t nonce,
+                                     std::uint64_t value) {
+  std::array<std::uint8_t, 8> out;
   for (int i = 0; i < 8; ++i) {
     out[static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(value >> (56 - 8 * i));

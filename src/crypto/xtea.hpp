@@ -10,7 +10,6 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace tmg::crypto {
 
@@ -35,9 +34,9 @@ void xtea_ctr_apply(const XteaKey& key, std::uint64_t nonce,
                     std::span<std::uint8_t> data);
 
 /// Convenience: encrypt a 64-bit timestamp with an authenticating tag is
-/// handled at the TLV layer; this seals just the value.
-std::vector<std::uint8_t> seal_u64(const XteaKey& key, std::uint64_t nonce,
-                                   std::uint64_t value);
+/// handled at the TLV layer; this seals just the value (big-endian).
+std::array<std::uint8_t, 8> seal_u64(const XteaKey& key, std::uint64_t nonce,
+                                     std::uint64_t value);
 
 /// Inverse of seal_u64. Returns false if `sealed` has the wrong size.
 bool open_u64(const XteaKey& key, std::uint64_t nonce,

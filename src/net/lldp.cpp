@@ -1,6 +1,6 @@
 #include "net/lldp.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 namespace tmg::net {
 
@@ -15,25 +15,30 @@ constexpr std::uint8_t kTlvOrg = 127;
 constexpr std::uint8_t kSubAuth = 0x01;
 constexpr std::uint8_t kSubTimestamp = 0x02;
 
-constexpr std::size_t kAuthLen = 16;
+/// Big-endian TLV writer into a buffer sized by LldpPacket::wire_size().
+struct Writer {
+  std::uint8_t* out;
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
+  void put_u8(std::uint8_t v) { *out++ = v; }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 7; i >= 0; --i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  void put_u16(std::uint16_t v) {
+    put_u8(static_cast<std::uint8_t>(v >> 8));
+    put_u8(static_cast<std::uint8_t>(v));
   }
-}
 
-void put_tlv(std::vector<std::uint8_t>& out, std::uint8_t type,
-             std::span<const std::uint8_t> value) {
-  out.push_back(type);
-  out.push_back(static_cast<std::uint8_t>(value.size()));
-  out.insert(out.end(), value.begin(), value.end());
-}
+  void put_u64(std::uint64_t v) {
+    for (int i = 7; i >= 0; --i) put_u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+
+  void put_bytes(std::span<const std::uint8_t> v) {
+    out = std::copy(v.begin(), v.end(), out);
+  }
+
+  void put_header(std::uint8_t type, std::size_t len) {
+    put_u8(type);
+    put_u8(static_cast<std::uint8_t>(len));
+  }
+};
 
 struct Reader {
   std::span<const std::uint8_t> data;
@@ -64,34 +69,26 @@ std::uint64_t get_u64(std::span<const std::uint8_t> v) {
 
 }  // namespace
 
-std::vector<std::uint8_t> LldpPacket::core_bytes() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(24);
-  {
-    std::vector<std::uint8_t> v;
-    put_u64(v, chassis_);
-    put_tlv(out, kTlvChassis, v);
-  }
-  {
-    std::vector<std::uint8_t> v;
-    put_u16(v, port_);
-    put_tlv(out, kTlvPort, v);
-  }
-  {
-    std::vector<std::uint8_t> v;
-    put_u16(v, ttl_);
-    put_tlv(out, kTlvTtl, v);
-  }
+std::array<std::uint8_t, LldpPacket::kCoreLen> LldpPacket::core_bytes() const {
+  std::array<std::uint8_t, kCoreLen> out;
+  Writer w{out.data()};
+  w.put_header(kTlvChassis, 8);
+  w.put_u64(chassis_);
+  w.put_header(kTlvPort, 2);
+  w.put_u16(port_);
+  w.put_header(kTlvTtl, 2);
+  w.put_u16(ttl_);
   return out;
 }
 
 void LldpPacket::sign(const crypto::Key& key) {
-  auth_ = crypto::truncated_mac(key, core_bytes(), kAuthLen);
+  auth_ = crypto::truncated_mac<kAuthLen>(key, core_bytes());
+  has_auth_ = true;
 }
 
 bool LldpPacket::verify(const crypto::Key& key) const {
-  if (auth_.size() != kAuthLen) return false;
-  const auto expect = crypto::truncated_mac(key, core_bytes(), kAuthLen);
+  if (!has_auth_) return false;
+  const auto expect = crypto::truncated_mac<kAuthLen>(key, core_bytes());
   // Constant-time compare.
   std::uint8_t diff = 0;
   for (std::size_t i = 0; i < kAuthLen; ++i) diff |= auth_[i] ^ expect[i];
@@ -99,7 +96,8 @@ bool LldpPacket::verify(const crypto::Key& key) const {
 }
 
 void LldpPacket::tamper_authenticator() {
-  if (auth_.empty()) auth_.assign(kAuthLen, 0);
+  // An absent authenticator is all zeros, so this also plants one.
+  has_auth_ = true;
   auth_[0] ^= 0xff;
 }
 
@@ -109,39 +107,40 @@ void LldpPacket::set_encrypted_timestamp(const crypto::XteaKey& key,
   ts_nonce_ = nonce;
   sealed_ts_ = crypto::seal_u64(
       key, nonce, static_cast<std::uint64_t>(departure.count_nanos()));
+  has_ts_ = true;
 }
 
 std::optional<sim::SimTime> LldpPacket::decrypt_timestamp(
     const crypto::XteaKey& key) const {
-  if (sealed_ts_.empty()) return std::nullopt;
+  if (!has_ts_) return std::nullopt;
   std::uint64_t v = 0;
   if (!crypto::open_u64(key, ts_nonce_, sealed_ts_, v)) return std::nullopt;
   return sim::SimTime::from_nanos(static_cast<std::int64_t>(v));
 }
 
 void LldpPacket::tamper_timestamp() {
-  if (sealed_ts_.empty()) sealed_ts_.assign(8, 0);
+  // An absent sealed timestamp is all zeros, so this also plants one.
+  has_ts_ = true;
   sealed_ts_[0] ^= 0xff;
 }
 
 std::vector<std::uint8_t> LldpPacket::serialize() const {
-  std::vector<std::uint8_t> out = core_bytes();
-  if (!auth_.empty()) {
-    std::vector<std::uint8_t> v;
-    v.push_back(kSubAuth);
-    v.insert(v.end(), auth_.begin(), auth_.end());
-    put_tlv(out, kTlvOrg, v);
+  std::vector<std::uint8_t> out(wire_size());
+  Writer w{out.data()};
+  w.put_bytes(core_bytes());
+  if (has_auth_) {
+    w.put_header(kTlvOrg, 1 + kAuthLen);
+    w.put_u8(kSubAuth);
+    w.put_bytes(auth_);
   }
-  if (!sealed_ts_.empty()) {
-    std::vector<std::uint8_t> v;
-    v.push_back(kSubTimestamp);
-    put_u64(v, ts_nonce_);
-    v.insert(v.end(), sealed_ts_.begin(), sealed_ts_.end());
-    put_tlv(out, kTlvOrg, v);
+  if (has_ts_) {
+    w.put_header(kTlvOrg, 1 + kNonceLen + kSealedLen);
+    w.put_u8(kSubTimestamp);
+    w.put_u64(ts_nonce_);
+    w.put_bytes(sealed_ts_);
   }
   // End-of-LLDPDU marker.
-  out.push_back(0);
-  out.push_back(0);
+  w.put_header(0, 0);
   return out;
 }
 
@@ -180,11 +179,14 @@ std::optional<LldpPacket> LldpPacket::parse(
         const auto body = value.subspan(1);
         if (sub == kSubAuth) {
           if (body.size() != kAuthLen) return std::nullopt;
-          pkt.auth_.assign(body.begin(), body.end());
+          std::copy(body.begin(), body.end(), pkt.auth_.begin());
+          pkt.has_auth_ = true;
         } else if (sub == kSubTimestamp) {
-          if (body.size() != 16) return std::nullopt;
-          pkt.ts_nonce_ = get_u64(body.first(8));
-          pkt.sealed_ts_.assign(body.begin() + 8, body.end());
+          if (body.size() != kNonceLen + kSealedLen) return std::nullopt;
+          pkt.ts_nonce_ = get_u64(body.first(kNonceLen));
+          std::copy(body.begin() + kNonceLen, body.end(),
+                    pkt.sealed_ts_.begin());
+          pkt.has_ts_ = true;
         }
         // Unknown subtypes are skipped (forward compatibility).
         break;

@@ -5,8 +5,15 @@
 // authenticator TLV; TOPOGUARD+ adds an encrypted departure-timestamp
 // TLV (paper Sec. VI-D). Packets are (de)serialized to bytes so the
 // cryptographic operations run over real wire content.
+//
+// Every TLV has a fixed size, so a packet holds its optional TLVs in
+// fixed arrays with presence flags and computes its wire size by
+// arithmetic: copying, signing, verifying and sizing a packet never
+// allocate. Absent TLVs stay zeroed, so the defaulted operator== compares
+// presence and contents.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -41,7 +48,7 @@ class LldpPacket {
   /// Verify the authenticator. False if absent or mismatched.
   [[nodiscard]] bool verify(const crypto::Key& key) const;
 
-  [[nodiscard]] bool has_authenticator() const { return !auth_.empty(); }
+  [[nodiscard]] bool has_authenticator() const { return has_auth_; }
 
   /// Corrupt the authenticator (attack modeling / negative tests).
   void tamper_authenticator();
@@ -57,7 +64,7 @@ class LldpPacket {
   [[nodiscard]] std::optional<sim::SimTime> decrypt_timestamp(
       const crypto::XteaKey& key) const;
 
-  [[nodiscard]] bool has_timestamp() const { return !sealed_ts_.empty(); }
+  [[nodiscard]] bool has_timestamp() const { return has_ts_; }
 
   /// Overwrite the sealed timestamp bytes (attacker tampering; the value
   /// decrypts to garbage, which the LLI flags as an implausible latency).
@@ -68,21 +75,40 @@ class LldpPacket {
   /// Serialize the full packet (core + present optional TLVs).
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
 
+  /// serialize().size(), by arithmetic.
+  [[nodiscard]] std::size_t wire_size() const {
+    constexpr std::size_t kOrgHeader = 3;  // type, length, subtype
+    constexpr std::size_t kEnd = 2;
+    return kCoreLen + (has_auth_ ? kOrgHeader + kAuthLen : 0) +
+           (has_ts_ ? kOrgHeader + kNonceLen + kSealedLen : 0) + kEnd;
+  }
+
   /// Parse from bytes. nullopt on malformed input.
   static std::optional<LldpPacket> parse(std::span<const std::uint8_t> bytes);
 
   bool operator==(const LldpPacket&) const = default;
 
  private:
+  /// Authenticator TLV payload: a truncated HMAC-SHA256.
+  static constexpr std::size_t kAuthLen = 16;
+  /// Sealed timestamp TLV payload: an XTEA-CTR ciphertext of a u64.
+  static constexpr std::size_t kSealedLen = 8;
+  /// Sealed timestamp TLV: the CTR nonce that precedes the ciphertext.
+  static constexpr std::size_t kNonceLen = 8;
+  /// Chassis (2+8), port (2+2) and TTL (2+2) TLVs.
+  static constexpr std::size_t kCoreLen = 18;
+
   /// The byte string covered by the authenticator.
-  [[nodiscard]] std::vector<std::uint8_t> core_bytes() const;
+  [[nodiscard]] std::array<std::uint8_t, kCoreLen> core_bytes() const;
 
   Dpid chassis_ = 0;
   PortNo port_ = 0;
   std::uint16_t ttl_ = 120;
-  std::vector<std::uint8_t> auth_;        // truncated HMAC (16 bytes)
-  std::uint64_t ts_nonce_ = 0;            // CTR nonce for the sealed ts
-  std::vector<std::uint8_t> sealed_ts_;   // 8 bytes XTEA-CTR ciphertext
+  bool has_auth_ = false;
+  bool has_ts_ = false;
+  std::array<std::uint8_t, kAuthLen> auth_{};        // truncated HMAC
+  std::uint64_t ts_nonce_ = 0;                       // CTR nonce
+  std::array<std::uint8_t, kSealedLen> sealed_ts_{};  // XTEA-CTR ciphertext
 };
 
 }  // namespace tmg::net

@@ -1,12 +1,15 @@
 // Unit tests for the crypto substrate: SHA-256, HMAC-SHA256, XTEA-CTR.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/xtea.hpp"
+#include "net/lldp.hpp"
 
 namespace tmg::crypto {
 namespace {
@@ -116,6 +119,101 @@ TEST(Hmac, KeyLongerThanBlockIsHashed) {
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+// ---------------- Precomputed key midstates ----------------
+
+struct Rfc4231Vector {
+  const char* name;
+  std::vector<std::uint8_t> key;
+  std::vector<std::uint8_t> data;
+  const char* mac_hex;  // a prefix of the full MAC (case 5 is truncated)
+};
+
+std::vector<Rfc4231Vector> rfc4231_vectors() {
+  std::vector<std::uint8_t> case4_key(25);
+  for (std::size_t i = 0; i < case4_key.size(); ++i) {
+    case4_key[i] = static_cast<std::uint8_t>(i + 1);
+  }
+  return {
+      {"case1", std::vector<std::uint8_t>(20, 0x0b), bytes_of("Hi There"),
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {"case2", bytes_of("Jefe"), bytes_of("what do ya want for nothing?"),
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {"case3", std::vector<std::uint8_t>(20, 0xaa),
+       std::vector<std::uint8_t>(50, 0xdd),
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+      {"case4", case4_key, std::vector<std::uint8_t>(50, 0xcd),
+       "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+      {"case5", std::vector<std::uint8_t>(20, 0x0c),
+       bytes_of("Test With Truncation"), "a3b6167473100ee06e0c796c2955552b"},
+      {"case6", std::vector<std::uint8_t>(131, 0xaa),
+       bytes_of("Test Using Larger Than Block-Size Key - Hash Key First"),
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+      {"case7", std::vector<std::uint8_t>(131, 0xaa),
+       bytes_of("This is a test using a larger than block-size key and a "
+                "larger than block-size data. The key needs to be hashed "
+                "before being used by the HMAC algorithm."),
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+  };
+}
+
+std::string mac_prefix(const Key& key, const Rfc4231Vector& v) {
+  return to_hex(hmac_sha256(key, v.data)).substr(0, std::strlen(v.mac_hex));
+}
+
+TEST(HmacKey, Rfc4231VectorsThroughBuiltCopiedAndMovedKeys) {
+  for (const auto& v : rfc4231_vectors()) {
+    SCOPED_TRACE(v.name);
+    const Key built{v.key};
+    EXPECT_EQ(built.bytes(), v.key);
+    EXPECT_EQ(mac_prefix(built, v), v.mac_hex);
+
+    const Key copied = built;  // NOLINT(performance-unnecessary-copy-initialization)
+    EXPECT_EQ(copied.bytes(), v.key);
+    EXPECT_EQ(mac_prefix(copied, v), v.mac_hex);
+
+    Key source{v.key};
+    const Key moved = std::move(source);
+    EXPECT_EQ(moved.bytes(), v.key);
+    EXPECT_EQ(mac_prefix(moved, v), v.mac_hex);
+
+    // MACs do not disturb the midstates: a second MAC under the same key
+    // gives the same answer.
+    EXPECT_EQ(mac_prefix(built, v), v.mac_hex);
+  }
+}
+
+TEST(HmacKey, CopiesOutliveTheOriginal) {
+  const auto data = bytes_of("payload");
+  std::vector<Key> keys;
+  {
+    const Key original = Key::derive(bytes_of("k"));
+    keys.push_back(original);
+    keys.push_back(original);
+  }
+  keys.reserve(64);  // relocates the copies
+  EXPECT_EQ(hmac_sha256(keys[0], data),
+            hmac_sha256(Key::derive(bytes_of("k")), data));
+  EXPECT_EQ(hmac_sha256(keys[1], data), hmac_sha256(keys[0], data));
+}
+
+TEST(HmacKey, LldpVerifyRejectsTamperAndForeignKey) {
+  const Key key = Key::derive(bytes_of("ctl"));
+  const Key copy = key;  // NOLINT(performance-unnecessary-copy-initialization)
+  net::LldpPacket frame{0xAB, 3};
+  frame.sign(key);
+  EXPECT_TRUE(frame.verify(copy));
+
+  net::LldpPacket tampered = frame;
+  tampered.tamper_authenticator();
+  EXPECT_FALSE(tampered.verify(key));
+  EXPECT_FALSE(tampered.verify(copy));
+
+  net::LldpPacket foreign{0xAB, 3};
+  foreign.sign(Key::derive(bytes_of("other")));
+  EXPECT_FALSE(foreign.verify(key));
+  EXPECT_FALSE(foreign.verify(copy));
+}
+
 TEST(Hmac, DifferentKeysDisagree) {
   const auto data = bytes_of("payload");
   const auto a = hmac_sha256(Key::derive(bytes_of("k1")), data);
@@ -135,16 +233,16 @@ TEST(Hmac, TruncatedMacIsPrefix) {
   const Key key = Key::derive(bytes_of("k"));
   const auto data = bytes_of("m");
   const auto full = hmac_sha256(key, data);
-  const auto trunc = truncated_mac(key, data, 16);
+  const auto trunc = truncated_mac<16>(key, data);
   ASSERT_EQ(trunc.size(), 16u);
   EXPECT_TRUE(std::equal(trunc.begin(), trunc.end(), full.begin()));
 }
 
 TEST(Hmac, KeyDeriveDeterministic) {
-  EXPECT_EQ(Key::derive(bytes_of("seed")).bytes,
-            Key::derive(bytes_of("seed")).bytes);
-  EXPECT_NE(Key::derive(bytes_of("seed")).bytes,
-            Key::derive(bytes_of("seeds")).bytes);
+  EXPECT_EQ(Key::derive(bytes_of("seed")).bytes(),
+            Key::derive(bytes_of("seed")).bytes());
+  EXPECT_NE(Key::derive(bytes_of("seed")).bytes(),
+            Key::derive(bytes_of("seeds")).bytes());
 }
 
 // ---------------- XTEA ----------------

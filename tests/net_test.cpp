@@ -1,6 +1,9 @@
 // Unit tests for the network model: addresses, packets, LLDP.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <type_traits>
+
 #include "crypto/hmac.hpp"
 #include "crypto/xtea.hpp"
 #include "net/lldp.hpp"
@@ -233,12 +236,19 @@ TEST(Lldp, ForgedContentsFailVerification) {
   const crypto::Key key = crypto::Key::derive(bytes_of("ctl"));
   LldpPacket genuine{0xAB, 3};
   genuine.sign(key);
-  // Splice the genuine authenticator onto different core TLVs.
-  LldpPacket forged{0xCD, 4};
-  auto bytes = forged.serialize();
-  (void)bytes;
-  forged.tamper_authenticator();  // any constructed authenticator differs
-  EXPECT_FALSE(forged.verify(key));
+  // Splice the genuine authenticator onto different core TLVs: rewrite
+  // the chassis TLV's value (bytes 2..9) of the genuine frame.
+  auto bytes = genuine.serialize();
+  bytes[9] ^= 0x66;  // chassis 0xAB -> 0xCD
+  const auto forged = LldpPacket::parse(bytes);
+  ASSERT_TRUE(forged.has_value());
+  EXPECT_EQ(forged->chassis_id(), 0xCDu);
+  EXPECT_TRUE(forged->has_authenticator());
+  EXPECT_FALSE(forged->verify(key));
+  // A constructed authenticator fails too.
+  LldpPacket constructed{0xCD, 4};
+  constructed.tamper_authenticator();
+  EXPECT_FALSE(constructed.verify(key));
 }
 
 TEST(Lldp, TimestampRoundTrip) {
@@ -321,6 +331,127 @@ TEST(Lldp, MakeLldpFrame) {
   ASSERT_NE(p.lldp(), nullptr);
   EXPECT_EQ(p.lldp()->chassis_id(), 0x9u);
   EXPECT_EQ(p.dst_mac, MacAddress::lldp_multicast());
+}
+
+// ---------------- LLDP representation ----------------
+
+// Every TLV is fixed-size, so the packet holds no heap storage: copying a
+// Packet that carries LLDP (forward, flood, Packet-In, Packet-Out) never
+// allocates.
+static_assert(std::is_trivially_copyable_v<LldpPacket>);
+
+/// The frame-size definition Packet::wire_size() had when it serialized
+/// every LLDP frame to learn its length.
+std::size_t serialized_frame_size(const LldpPacket& l) {
+  return std::max<std::size_t>(64, 14 + l.serialize().size());
+}
+
+/// One frame of every TLV shape: bare, signed, sealed, signed+sealed,
+/// each tamper on a frame that lacked the TLV, and parsed copies of all.
+std::vector<LldpPacket> every_lldp_shape() {
+  const crypto::Key akey = crypto::Key::derive(bytes_of("a"));
+  const crypto::XteaKey tkey = crypto::XteaKey::derive(bytes_of("t"));
+  const LldpPacket bare{0xAB, 3};
+  LldpPacket signed_only = bare;
+  signed_only.sign(akey);
+  LldpPacket sealed_only = bare;
+  sealed_only.set_encrypted_timestamp(tkey, 9, sim::SimTime::from_nanos(5));
+  LldpPacket both = sealed_only;
+  both.sign(akey);
+  LldpPacket tampered_auth = bare;
+  tampered_auth.tamper_authenticator();
+  LldpPacket tampered_ts = bare;
+  tampered_ts.tamper_timestamp();
+  LldpPacket tampered_both = tampered_auth;
+  tampered_both.tamper_timestamp();
+  std::vector<LldpPacket> shapes{bare,          signed_only, sealed_only,
+                                 both,          tampered_auth, tampered_ts,
+                                 tampered_both};
+  const std::size_t built = shapes.size();
+  for (std::size_t i = 0; i < built; ++i) {
+    const auto parsed = LldpPacket::parse(shapes[i].serialize());
+    EXPECT_TRUE(parsed.has_value()) << "shape " << i;
+    if (parsed) shapes.push_back(*parsed);
+  }
+  return shapes;
+}
+
+TEST(LldpRepresentation, WireSizeMatchesSerializedLength) {
+  for (const LldpPacket& l : every_lldp_shape()) {
+    EXPECT_EQ(l.wire_size(), l.serialize().size());
+    EXPECT_EQ(make_lldp_frame(MacAddress::host(1), l).wire_size(),
+              serialized_frame_size(l));
+  }
+}
+
+TEST(LldpRepresentation, WireSizePerTlvShape) {
+  const crypto::Key akey = crypto::Key::derive(bytes_of("a"));
+  const crypto::XteaKey tkey = crypto::XteaKey::derive(bytes_of("t"));
+  LldpPacket p{0x1, 1};
+  EXPECT_EQ(p.wire_size(), 20u);  // core 18 + end marker 2
+  p.sign(akey);
+  EXPECT_EQ(p.wire_size(), 39u);  // + org TLV 2 + subtype 1 + MAC 16
+  p.set_encrypted_timestamp(tkey, 1, sim::SimTime::from_nanos(1));
+  EXPECT_EQ(p.wire_size(), 58u);  // + org TLV 2 + subtype 1 + nonce 8 + ct 8
+  EXPECT_EQ(make_lldp_frame(MacAddress::host(1), p).wire_size(), 72u);
+  EXPECT_EQ(make_lldp_frame(MacAddress::host(1), LldpPacket{0x1, 1})
+                .wire_size(),
+            64u);  // Ethernet minimum
+}
+
+TEST(LldpRepresentation, TamperPlantsAbsentTlv) {
+  LldpPacket auth{0x1, 1};
+  auth.tamper_authenticator();
+  EXPECT_TRUE(auth.has_authenticator());
+  EXPECT_FALSE(auth.has_timestamp());
+  EXPECT_FALSE(auth.verify(crypto::Key::derive(bytes_of("a"))));
+  LldpPacket ts{0x1, 1};
+  ts.tamper_timestamp();
+  EXPECT_TRUE(ts.has_timestamp());
+  EXPECT_FALSE(ts.has_authenticator());
+  EXPECT_TRUE(ts.decrypt_timestamp(crypto::XteaKey::derive(bytes_of("t")))
+                  .has_value());
+}
+
+TEST(LldpRepresentation, EqualityMatchesPresenceAndContents) {
+  const LldpPacket bare{0xAB, 3};
+  const auto parsed = LldpPacket::parse(bare.serialize());
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(*parsed, bare);
+  EXPECT_EQ(*parsed, LldpPacket(0xAB, 3, 120));
+
+  // Tampering plants an all-zero TLV with one flipped byte: it differs
+  // from the bare frame, and from an authenticator or timestamp that is
+  // present but was never tampered.
+  LldpPacket tampered_auth = bare;
+  tampered_auth.tamper_authenticator();
+  EXPECT_NE(tampered_auth, bare);
+  LldpPacket tampered_ts = bare;
+  tampered_ts.tamper_timestamp();
+  EXPECT_NE(tampered_ts, bare);
+  EXPECT_NE(tampered_ts, tampered_auth);
+
+  const crypto::Key key = crypto::Key::derive(bytes_of("a"));
+  LldpPacket signed_frame = bare;
+  signed_frame.sign(key);
+  LldpPacket tampered_signed = signed_frame;
+  tampered_signed.tamper_authenticator();
+  EXPECT_NE(tampered_signed, signed_frame);
+  tampered_signed.tamper_authenticator();  // flips the same byte back
+  EXPECT_EQ(tampered_signed, signed_frame);
+
+  // Every shape equals its own parsed copy, and no two distinct shapes
+  // compare equal.
+  const auto shapes = every_lldp_shape();
+  const std::size_t built = shapes.size() / 2;
+  for (std::size_t i = 0; i < built; ++i) {
+    EXPECT_EQ(shapes[i], shapes[built + i]) << "shape " << i;
+    for (std::size_t j = 0; j < built; ++j) {
+      if (i != j) {
+        EXPECT_NE(shapes[i], shapes[j]) << i << " vs " << j;
+      }
+    }
+  }
 }
 
 
