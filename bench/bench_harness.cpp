@@ -43,8 +43,6 @@ HarnessOptions parse_harness_args(int argc, char** argv) {
       opts.no_fastpath = true;
     } else if (std::strcmp(argv[i], "--obs") == 0) {
       opts.obs = true;
-    } else if (std::strcmp(argv[i], "--legacy-runner") == 0) {
-      opts.legacy_runner = true;
     } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
       opts.trials = parse_trials_or_die(argv[i + 1]);
     } else if (std::strncmp(argv[i], "--trials=", 9) == 0) {

@@ -4,7 +4,7 @@
 // Every trial-looping bench accepts:
 //   --trials N      trial count (0 = bench default)
 //   --jobs N        worker threads (default: hardware concurrency;
-//                   --jobs 1 = legacy serial path)
+//                   --jobs 1 = the serial path, no threads)
 //   --quick         shrink the workload for smoke runs
 //   --json PATH     write a one-object JSON result file
 //   --obs           attach the observability layer to a representative
@@ -21,11 +21,6 @@
 //                   the naive reference algorithms instead. Simulated
 //                   output must be byte-identical either way; CI diffs
 //                   the attack-matrix stdout across the two modes.
-//   --legacy-runner schedule one pool task per trial (the pre-chunking
-//                   TrialRunner path) instead of contiguous chunks —
-//                   the A/B baseline tools/run_bench.py --speedup uses
-//                   to attribute the scheduling win. Results are
-//                   identical; only the wall clock moves.
 //
 // Wall-clock time is host time (std::chrono), which is fine here: it
 // never feeds simulation results, only the perf report. src/ stays under
@@ -49,14 +44,13 @@ struct HarnessOptions {
   bool quick = false;
   bool no_fastpath = false;    // already applied by parse_harness_args
   bool obs = false;            // --obs: collect an observability snapshot
-  bool legacy_runner = false;  // --legacy-runner: per-trial task baseline
   std::string json_path;
   std::string obs_out_path;    // --obs-out: metrics snapshot file
   std::string trace_out_path;  // --trace-out: trace JSONL export file
 
   /// TrialRunner options for this bench invocation.
   [[nodiscard]] scenario::TrialRunnerOptions runner_options() const {
-    return {jobs, legacy_runner};
+    return {.jobs = jobs};
   }
 
   /// Trial count to actually run: --trials if given, else the quick or

@@ -36,7 +36,8 @@
 //      (link-discovery, host-tracking, routing).
 //
 // Violations are raised on the controller's AlertBus as
-// AlertType::InvariantViolation (mirrored into an attached tracer) —
+// AlertType::InvariantViolation (mirrored into the controller event
+// trace when observability is attached) —
 // a violation means the *simulator* is broken, never the network.
 #pragma once
 

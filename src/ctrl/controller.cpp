@@ -1,5 +1,6 @@
 #include "ctrl/controller.hpp"
 
+#include <cstdio>
 #include <stdexcept>
 
 #include "check/assert.hpp"
@@ -43,6 +44,53 @@ void validate_config(const ControllerConfig& c) {
 
 }  // namespace
 
+const char* to_string(EventKind kind) {
+  switch (kind) {
+    case EventKind::PacketIn: return "PACKET_IN";
+    case EventKind::PacketOut: return "PACKET_OUT";
+    case EventKind::FlowMod: return "FLOW_MOD";
+    case EventKind::PortUp: return "PORT_UP";
+    case EventKind::PortDown: return "PORT_DOWN";
+    case EventKind::LinkAdded: return "LINK_ADDED";
+    case EventKind::LinkRemoved: return "LINK_REMOVED";
+    case EventKind::HostNew: return "HOST_NEW";
+    case EventKind::HostMoved: return "HOST_MOVED";
+    case EventKind::HostMoveRejected: return "HOST_MOVE_REJECTED";
+    case EventKind::HostBlocked: return "HOST_BLOCKED";
+    case EventKind::Alert: return "ALERT";
+    case EventKind::EchoRtt: return "ECHO_RTT";
+  }
+  return "?";
+}
+
+std::string render_console(const obs::TraceLog& log, std::size_t last_n) {
+  const auto is_event = [](const obs::TraceLog::Record& r) {
+    return !r.is_span && r.category == kTraceCategory;
+  };
+  // Walk back to the last_n-th newest event, then print forwards.
+  const auto& records = log.records();
+  std::size_t start = records.size();
+  for (std::size_t seen = 0; start > 0 && seen < last_n; --start) {
+    if (is_event(records[start - 1])) ++seen;
+  }
+  std::string out;
+  char line[512];
+  for (std::size_t i = start; i < records.size(); ++i) {
+    const obs::TraceLog::Record& r = records[i];
+    if (!is_event(r)) continue;
+    const char* detail = "";
+    const char* loc = "-";
+    for (const auto& [key, value] : r.args) {
+      if (key == "detail") detail = value.c_str();
+      if (key == "loc") loc = value.c_str();
+    }
+    std::snprintf(line, sizeof line, "[%10.3fs] %-12s %-10s %s\n",
+                  r.begin.to_seconds_f(), r.name.c_str(), loc, detail);
+    out += line;
+  }
+  return out;
+}
+
 /// Priority 0: controller-internal consumption. Traces raw messages,
 /// answers ARP for the controller's identity, eats probe replies and
 /// echo bookkeeping before anything else sees them.
@@ -64,9 +112,10 @@ class Controller::CoreListener final : public MessageListener {
       case MessageType::PortStatus: {
         const of::PortStatus& ps = *msg.port_status;
         c_.trace_event(ps.reason == of::PortStatus::Reason::Down
-                           ? trace::EventKind::PortDown
-                           : trace::EventKind::PortUp,
-                       "", of::Location{ps.dpid, ps.port});
+                           ? EventKind::PortDown
+                           : EventKind::PortUp,
+                       [] { return std::string{}; },
+                       of::Location{ps.dpid, ps.port});
         return Disposition::Continue;
       }
       case MessageType::EchoReply:
@@ -81,10 +130,8 @@ class Controller::CoreListener final : public MessageListener {
 
  private:
   Disposition on_packet_in(const of::PacketIn& pi) {
-    if (c_.tracer_ != nullptr || c_.obs_ != nullptr) {
-      c_.trace_event(trace::EventKind::PacketIn, pi.packet.describe(),
-                     of::Location{pi.dpid, pi.in_port});
-    }
+    c_.trace_event(EventKind::PacketIn, [&] { return pi.packet.describe(); },
+                   of::Location{pi.dpid, pi.in_port});
     // Controller-internal probe replies never reach services or defenses.
     if (c_.consume_probe_reply(pi)) return Disposition::Stop;
     if (pi.in_port == of::kPortController) {
@@ -346,21 +393,14 @@ void Controller::send_flow_mod(of::Dpid dpid, of::FlowMod fm) {
   const auto it = switches_.find(dpid);
   if (it == switches_.end()) return;
   pipeline_.dispatch(PipelineMessage::from(dpid, fm));
-  if (tracer_ != nullptr || obs_ != nullptr) {
-    trace_event(trace::EventKind::FlowMod,
-                (fm.command == of::FlowMod::Command::Add ? "add " : "del ") +
-                    fm.match.to_string(),
-                of::Location{dpid, fm.action.out_port});
-  }
+  trace_event(
+      EventKind::FlowMod,
+      [&] {
+        return (fm.command == of::FlowMod::Command::Add ? "add " : "del ") +
+               fm.match.to_string();
+      },
+      of::Location{dpid, fm.action.out_port});
   it->second.channel->to_switch(std::move(fm));
-}
-
-void Controller::set_tracer(trace::Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_) {
-    if (obs_ != nullptr) tracer_->bind(obs_->trace());
-    subscribe_alert_mirror();
-  }
 }
 
 void Controller::set_observability(obs::Observability* obs) {
@@ -370,7 +410,6 @@ void Controller::set_observability(obs::Observability* obs) {
     obs_echo_rtt_ = nullptr;
     return;
   }
-  if (tracer_ != nullptr) tracer_->bind(obs_->trace());
   subscribe_alert_mirror();
   obs_echo_rtt_ =
       &obs_->metrics().histogram("ctrl.echo_rtt_ms", 0.0, 50.0, 50);
@@ -420,25 +459,18 @@ void Controller::subscribe_alert_mirror() {
   if (alert_mirror_subscribed_) return;
   alert_mirror_subscribed_ = true;
   alerts_.subscribe([this](const Alert& alert) {
-    if (tracer_ == nullptr && obs_ == nullptr) return;
-    trace_event(trace::EventKind::Alert, alert.module + ": " + alert.message,
-                alert.location);
+    trace_event(
+        EventKind::Alert,
+        [&] { return alert.module + ": " + alert.message; }, alert.location);
   });
 }
 
-void Controller::trace_event(trace::EventKind kind, std::string detail,
-                             std::optional<of::Location> loc) {
-  if (tracer_ != nullptr) {
-    // The tracer is bound onto the shared TraceLog when obs is attached,
-    // so one record covers both sinks.
-    tracer_->record(loop_.now(), kind, std::move(detail), loc);
-    return;
-  }
-  if (obs_ != nullptr) {
-    const obs::SpanId id = obs_->trace().instant(
-        loop_.now(), trace::Tracer::kCategory, trace::to_string(kind), detail);
-    if (id != 0 && loc) obs_->trace().annotate(id, "loc", loc->to_string());
-  }
+void Controller::record_trace_event(EventKind kind, std::string detail,
+                                    std::optional<of::Location> loc) {
+  obs::TraceLog& log = obs_->trace();
+  const obs::SpanId id = log.instant(loop_.now(), kTraceCategory,
+                                     to_string(kind), std::move(detail));
+  if (id != 0 && loc) log.annotate(id, "loc", loc->to_string());
 }
 
 void Controller::request_flow_stats(of::Dpid dpid) {
@@ -471,7 +503,8 @@ void Controller::probe_reachability(of::Location loc, net::MacAddress dst_mac,
   pending.done = std::move(done);
   if (obs_ != nullptr) {
     pending.span =
-        obs_->trace().begin_span(loop_.now(), "ctrl", "probe.reachability");
+        obs_->trace().begin_span(loop_.now(), kTraceCategory,
+                                 "probe.reachability");
     obs_->trace().annotate(pending.span, "loc", loc.to_string());
   }
   pending.timeout =
@@ -577,11 +610,14 @@ void Controller::handle_echo_reply(of::Dpid dpid, const of::EchoReply& er) {
   // Paper Sec. VI-D: average of the latest three measurements.
   while (conn.recent_rtts.size() > 3) conn.recent_rtts.pop_front();
   if (obs_echo_rtt_ != nullptr) obs_echo_rtt_->add(rtt.to_millis_f());
-  if (tracer_ != nullptr || obs_ != nullptr) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "rtt=%.3fms", rtt.to_millis_f());
-    trace_event(trace::EventKind::EchoRtt, buf, of::Location{dpid, 0});
-  }
+  trace_event(
+      EventKind::EchoRtt,
+      [&] {
+        char buf[48];
+        std::snprintf(buf, sizeof buf, "rtt=%.3fms", rtt.to_millis_f());
+        return std::string{buf};
+      },
+      of::Location{dpid, 0});
 }
 
 void Controller::echo_tick() {

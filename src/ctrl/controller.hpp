@@ -18,6 +18,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/hmac.hpp"
@@ -27,12 +29,12 @@
 #include "ctrl/message_pipeline.hpp"
 #include "ctrl/profiles.hpp"
 #include "ctrl/service_registry.hpp"
+#include "obs/trace_log.hpp"
 #include "of/control_channel.hpp"
 #include "of/messages.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/rng.hpp"
 #include "topo/graph.hpp"
-#include "trace/tracer.hpp"
 
 namespace tmg::ctrl {
 
@@ -45,6 +47,43 @@ class RoutingService;
 // installs at layout.defense_base + N * layout.defense_step,
 // preserving installation order. The constructor assembles the chain
 // from config.profile instead of hard-coded slots.
+
+// --- Controller event trace ---
+//
+// Control-plane events (Packet-In, Flow-Mod, Port-Status, link/host
+// changes, alerts, echo RTTs) land as instants in the attached
+// Observability's TraceLog: category kTraceCategory, name
+// to_string(kind), a "detail" argument when non-empty and a "loc"
+// argument when the event has a location. The anomaly IDS featurizer
+// and tools/check_trace_schema.py key on these names, so they are part
+// of the export format.
+
+/// TraceLog category of every controller event instant.
+inline constexpr const char* kTraceCategory = "ctrl";
+
+enum class EventKind {
+  PacketIn,
+  PacketOut,
+  FlowMod,
+  PortUp,
+  PortDown,
+  LinkAdded,
+  LinkRemoved,
+  HostNew,
+  HostMoved,
+  HostMoveRejected,
+  HostBlocked,
+  Alert,
+  EchoRtt,
+};
+
+[[nodiscard]] const char* to_string(EventKind kind);
+
+/// The controller console (the paper's Figs. 12-13 view): the latest
+/// `last_n` controller event instants of `log`, one line each with
+/// sim time, kind, location ("-" when absent) and detail.
+[[nodiscard]] std::string render_console(const obs::TraceLog& log,
+                                         std::size_t last_n = 50);
 
 struct ControllerConfig {
   ControllerProfile profile = floodlight_profile();
@@ -163,25 +202,26 @@ class Controller {
 
   // --- Tracing ---
 
-  /// Attach an event tracer (optional; nullptr detaches). Alerts raised
-  /// after attachment are mirrored into it.
-  void set_tracer(trace::Tracer* tracer);
-  [[nodiscard]] trace::Tracer* tracer() { return tracer_; }
-
   /// Attach the observability layer (borrowed; nullptr detaches, the
-  /// default). Wires the pipeline's dispatch span tree, rebinds an
-  /// attached Tracer onto the shared TraceLog, registers the export-time
-  /// collector that mirrors pipeline/LLDP/alert totals into the metrics
-  /// registry, and starts the control-link echo RTT histogram. With a
-  /// null pointer every simulated behavior is bit-identical to an
-  /// unobserved controller.
+  /// default). Wires the pipeline's dispatch span tree, starts the
+  /// controller event trace and the alert mirror into it, registers the
+  /// export-time collector that mirrors pipeline/LLDP/alert totals into
+  /// the metrics registry, and starts the control-link echo RTT
+  /// histogram. With a null pointer every simulated behavior is
+  /// bit-identical to an unobserved controller.
   void set_observability(obs::Observability* obs);
   [[nodiscard]] obs::Observability* observability() const { return obs_; }
 
-  /// Record a trace event if a tracer is attached (used by the services;
-  /// cheap no-op otherwise).
-  void trace_event(trace::EventKind kind, std::string detail,
-                   std::optional<of::Location> loc = std::nullopt);
+  /// Record a controller event instant when observability is attached.
+  /// `detail` is a callable returning the detail string; it runs only
+  /// behind that check, so an unobserved run builds no trace strings.
+  template <typename DetailFn>
+  void trace_event(EventKind kind, DetailFn&& detail,
+                   std::optional<of::Location> loc = std::nullopt) {
+    // Unobserved runs are the hot case: keep the detail code off it.
+    if (obs_ == nullptr) [[likely]] return;
+    record_trace_event(kind, std::forward<DetailFn>(detail)(), loc);
+  }
 
   // --- Derived-event publication (services dispatch through the
   // pipeline; the returned verdict is the accumulated defense verdict)
@@ -205,6 +245,8 @@ class Controller {
   class VerdictGate;
 
   void dispatch(of::Dpid dpid, const of::SwitchToCtrl& msg);
+  void record_trace_event(EventKind kind, std::string detail,
+                          std::optional<of::Location> loc);
   void subscribe_alert_mirror();
   void finish_probe_span(obs::SpanId span, bool reachable);
   void handle_echo_reply(of::Dpid dpid, const of::EchoReply& er);
@@ -234,7 +276,6 @@ class Controller {
   std::uint32_t next_port_stats_xid_ = 1;
   std::map<std::uint16_t, PendingProbe> pending_probes_;
   DefenseModule* anomaly_ = nullptr;
-  trace::Tracer* tracer_ = nullptr;
   obs::Observability* obs_ = nullptr;
   stats::Histogram* obs_echo_rtt_ = nullptr;  // "ctrl.echo_rtt_ms"
   bool alert_mirror_subscribed_ = false;

@@ -55,14 +55,15 @@ void HostTrackingService::handle_packet_in(const of::PacketIn& pi) {
     ev.new_loc = loc;
     if (ctrl_.notify_host_event(ev) == Verdict::Block) {
       ++blocked_;
-      ctrl_.trace_event(trace::EventKind::HostBlocked,
-                        pkt.src_mac.to_string(), loc);
+      ctrl_.trace_event(EventKind::HostBlocked,
+                        [&] { return pkt.src_mac.to_string(); }, loc);
       return;
     }
     hosts_.insert(HostRecord{pkt.src_mac, src_ip, loc, now, now});
-    ctrl_.trace_event(trace::EventKind::HostNew,
-                      pkt.src_mac.to_string() + " / " + src_ip.to_string(),
-                      loc);
+    ctrl_.trace_event(
+        EventKind::HostNew,
+        [&] { return pkt.src_mac.to_string() + " / " + src_ip.to_string(); },
+        loc);
     return;
   }
 
@@ -110,10 +111,13 @@ void HostTrackingService::finish_move(net::MacAddress mac,
     // identity elsewhere does not get the binding (blocks the naive
     // pre-claim hijack while the victim is alive).
     ++moves_rejected_;
-    ctrl_.trace_event(trace::EventKind::HostMoveRejected,
-                      mac.to_string() + " " + pending.old_loc.to_string() +
-                          " -/-> " + pending.new_loc.to_string(),
-                      pending.new_loc);
+    ctrl_.trace_event(
+        EventKind::HostMoveRejected,
+        [&] {
+          return mac.to_string() + " " + pending.old_loc.to_string() +
+                 " -/-> " + pending.new_loc.to_string();
+        },
+        pending.new_loc);
     return;
   }
   commit_move(*rec, pending.new_loc, pending.ip);
@@ -131,14 +135,17 @@ void HostTrackingService::commit_move(HostRecord& rec, of::Location new_loc,
   ev.old_last_seen = rec.last_seen;
   if (ctrl_.notify_host_event(ev) == Verdict::Block) {
     ++blocked_;
-    ctrl_.trace_event(trace::EventKind::HostBlocked, rec.mac.to_string(),
-                      new_loc);
+    ctrl_.trace_event(EventKind::HostBlocked,
+                      [&] { return rec.mac.to_string(); }, new_loc);
     return;
   }
-  ctrl_.trace_event(trace::EventKind::HostMoved,
-                    rec.mac.to_string() + " " + rec.loc.to_string() + " -> " +
-                        new_loc.to_string(),
-                    new_loc);
+  ctrl_.trace_event(
+      EventKind::HostMoved,
+      [&] {
+        return rec.mac.to_string() + " " + rec.loc.to_string() + " -> " +
+               new_loc.to_string();
+      },
+      new_loc);
   rec.loc = new_loc;
   rec.last_seen = now;
   if (ip != net::Ipv4Address::any()) rec.ip = ip;

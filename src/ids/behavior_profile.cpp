@@ -30,6 +30,19 @@ bool ends_with(const std::string& s, const char* suffix) {
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
+/// A file number as a count. Converting a double outside [0, 2^64) to
+/// an integer is undefined behaviour, so such values are rejected.
+std::optional<std::uint64_t> to_count(double v) {
+  if (!(v >= 0.0 && v < 0x1p64)) return std::nullopt;
+  return static_cast<std::uint64_t>(v);
+}
+
+/// A file number as sim-time nanoseconds; nullopt outside int64 range.
+std::optional<std::int64_t> to_nanos(double v) {
+  if (!(v >= -0x1p63 && v < 0x1p63)) return std::nullopt;
+  return static_cast<std::int64_t>(v);
+}
+
 void append_u64(std::string& out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
@@ -230,10 +243,10 @@ std::optional<BehaviorProfile> BehaviorProfile::from_json(
       for (const auto& [label, count] : bi->object) {
         const auto k = bigram_key_from_label(label);
         if (!k) return fail("profile: bad bigram label \"" + label + "\"");
-        if (!count.is_number()) {
-          return fail("profile: bigram count not a number");
-        }
-        p.bigrams[*k] = static_cast<std::uint64_t>(count.number);
+        const auto n = count.is_number() ? to_count(count.number)
+                                         : std::nullopt;
+        if (!n) return fail("profile: bigram count not a count");
+        p.bigrams[*k] = *n;
       }
     }
     if (const minijson::Value* tri = entry.get("trigrams");
@@ -241,10 +254,10 @@ std::optional<BehaviorProfile> BehaviorProfile::from_json(
       for (const auto& [label, count] : tri->object) {
         const auto k = trigram_key_from_label(label);
         if (!k) return fail("profile: bad trigram label \"" + label + "\"");
-        if (!count.is_number()) {
-          return fail("profile: trigram count not a number");
-        }
-        p.trigrams[*k] = static_cast<std::uint64_t>(count.number);
+        const auto n = count.is_number() ? to_count(count.number)
+                                         : std::nullopt;
+        if (!n) return fail("profile: trigram count not a count");
+        p.trigrams[*k] = *n;
       }
     }
     if (const minijson::Value* srcs = entry.get("lldp_srcs");
@@ -430,17 +443,19 @@ bool ProfileTrainer::add_trace_jsonl(const std::string& jsonl,
   std::istringstream in{jsonl};
   std::string line;
   std::size_t lineno = 0;
+  const auto bad_line = [&](const std::string& msg) {
+    if (error != nullptr) {
+      *error = "line " + std::to_string(lineno) + ": " + msg;
+    }
+    return false;
+  };
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
     std::string parse_error;
     const auto rec = minijson::parse(line, &parse_error);
     if (!rec || !rec->is_object()) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(lineno) + ": " +
-                 (parse_error.empty() ? "not a JSON object" : parse_error);
-      }
-      return false;
+      return bad_line(parse_error.empty() ? "not a JSON object" : parse_error);
     }
     const std::string ph = rec->get_string("ph");
     const std::string cat = rec->get_string("cat");
@@ -452,9 +467,9 @@ bool ProfileTrainer::add_trace_jsonl(const std::string& jsonl,
       const std::string loc = args != nullptr ? args->get_string("loc") : "";
       const auto f = featurize_ctrl_instant(name, detail, loc);
       if (!f) continue;
-      const auto at =
-          sim::SimTime::from_nanos(static_cast<std::int64_t>(
-              rec->get_number("t_ns")));
+      const auto t_ns = to_nanos(rec->get_number("t_ns"));
+      if (!t_ns) return bad_line("t_ns out of range");
+      const auto at = sim::SimTime::from_nanos(*t_ns);
       for (std::size_t i = 0; i < f->port_count; ++i) {
         observe(f->ports[i], f->symbol, at);
       }
@@ -463,14 +478,15 @@ bool ProfileTrainer::add_trace_jsonl(const std::string& jsonl,
     }
     if (ph == "span" && cat == "lldp" && rec->get_string("name") == "rtt" &&
         args != nullptr && args->get_string("outcome") == "matched") {
-      const minijson::Value* t1 = rec->get("t1_ns");
-      if (t1 == nullptr || !t1->is_number()) continue;
-      const double t0 = rec->get_number("t0_ns");
-      if (t1->number < t0) continue;
-      observe_duration("lldp.rtt",
-                       static_cast<std::uint64_t>(t1->number - t0));
-      const auto at = sim::SimTime::from_nanos(
-          static_cast<std::int64_t>(t1->number));
+      const minijson::Value* t1_value = rec->get("t1_ns");
+      if (t1_value == nullptr || !t1_value->is_number()) continue;
+      const auto t0 = to_nanos(rec->get_number("t0_ns"));
+      const auto t1 = to_nanos(t1_value->number);
+      if (!t0 || !t1) return bad_line("span time out of range");
+      if (*t1 < *t0) continue;
+      observe_duration("lldp.rtt", static_cast<std::uint64_t>(*t1) -
+                                       static_cast<std::uint64_t>(*t0));
+      const auto at = sim::SimTime::from_nanos(*t1);
       if (at.count_nanos() > trial_max_.count_nanos()) trial_max_ = at;
     }
   }

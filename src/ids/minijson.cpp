@@ -28,7 +28,9 @@ double Value::get_number(const std::string& key, double fallback) const {
 std::uint64_t Value::get_u64(const std::string& key,
                              std::uint64_t fallback) const {
   const Value* v = get(key);
-  if (v == nullptr || v->kind != Kind::Number || v->number < 0) {
+  // Out-of-range doubles have no integer value (the cast would be UB).
+  if (v == nullptr || v->kind != Kind::Number ||
+      !(v->number >= 0 && v->number < 0x1p64)) {
     return fallback;
   }
   return static_cast<std::uint64_t>(v->number);
@@ -38,7 +40,7 @@ namespace {
 
 class Parser {
  public:
-  Parser(const std::string& text, std::string* error)
+  Parser(std::string_view text, std::string* error)
       : text_{text}, error_{error} {}
 
   std::optional<Value> run() {
@@ -83,8 +85,18 @@ class Parser {
       return false;
     }
     switch (text_[pos_]) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+          return false;
+        }
+        ++depth_;
+        const bool ok =
+            text_[pos_] == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.kind = Value::Kind::String;
         return parse_string(out.string);
@@ -211,7 +223,7 @@ class Parser {
             fail("truncated \\u escape");
             return false;
           }
-          const std::string hex = text_.substr(pos_, 4);
+          const std::string hex{text_.substr(pos_, 4)};
           char* end = nullptr;
           const unsigned long cp = std::strtoul(hex.c_str(), &end, 16);
           if (end != hex.c_str() + 4 || cp > 0xff) {
@@ -242,7 +254,7 @@ class Parser {
       fail("expected value");
       return false;
     }
-    const std::string lexeme = text_.substr(start, pos_ - start);
+    const std::string lexeme{text_.substr(start, pos_ - start)};
     char* end = nullptr;
     const double v = std::strtod(lexeme.c_str(), &end);
     if (end != lexeme.c_str() + lexeme.size()) {
@@ -254,14 +266,15 @@ class Parser {
     return true;
   }
 
-  const std::string& text_;
+  std::string_view text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open arrays/objects around pos_
 };
 
 }  // namespace
 
-std::optional<Value> parse(const std::string& text, std::string* error) {
+std::optional<Value> parse(std::string_view text, std::string* error) {
   return Parser{text, error}.run();
 }
 

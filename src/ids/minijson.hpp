@@ -7,11 +7,17 @@
 // external JSON dependency and the obs exporters are write-only; keep
 // it boring and allocation-heavy, it only runs offline (training) or
 // once at startup (profile load), never on a simulated hot path.
+//
+// Inputs are files, so nesting is capped at kMaxDepth: the parser
+// recurses once per open bracket, and an unbounded document would
+// exhaust the stack. The repo's own exports nest a few levels deep.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -35,7 +41,8 @@ class Value {
 
   /// Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const Value* get(const std::string& key) const;
-  /// Typed member shortcuts (fallback when absent / wrong type).
+  /// Typed member shortcuts (fallback when absent / wrong type;
+  /// get_u64 also when the number is outside [0, 2^64)).
   [[nodiscard]] std::string get_string(const std::string& key,
                                        std::string fallback = "") const;
   [[nodiscard]] double get_number(const std::string& key,
@@ -44,8 +51,12 @@ class Value {
                                       std::uint64_t fallback = 0) const;
 };
 
+/// Deepest array/object nesting parse() accepts; the top-level value
+/// is depth 1.
+inline constexpr std::size_t kMaxDepth = 64;
+
 /// Parse one JSON document. On failure returns nullopt and, when
 /// `error` is non-null, a one-line description with a byte offset.
-std::optional<Value> parse(const std::string& text, std::string* error);
+std::optional<Value> parse(std::string_view text, std::string* error);
 
 }  // namespace tmg::ids::minijson

@@ -148,31 +148,33 @@ std::optional<LldpPacket> LldpPacket::parse(
     std::span<const std::uint8_t> bytes) {
   Reader r{bytes};
   LldpPacket pkt;
-  bool have_chassis = false, have_port = false, have_ttl = false;
+  std::uint8_t type = 0;
+  std::span<const std::uint8_t> value;
+  // 802.1AB: the LLDPDU opens with the chassis ID, port ID and TTL
+  // TLVs, in that order, and none of them may repeat later.
+  if (!r.read_tlv(type, value) || type != kTlvChassis || value.size() != 8) {
+    return std::nullopt;
+  }
+  pkt.chassis_ = get_u64(value);
+  if (!r.read_tlv(type, value) || type != kTlvPort || value.size() != 2) {
+    return std::nullopt;
+  }
+  pkt.port_ = get_u16(value);
+  if (!r.read_tlv(type, value) || type != kTlvTtl || value.size() != 2) {
+    return std::nullopt;
+  }
+  pkt.ttl_ = get_u16(value);
   while (!r.done()) {
-    std::uint8_t type = 0;
-    std::span<const std::uint8_t> value;
     if (!r.read_tlv(type, value)) return std::nullopt;
     switch (type) {
       case 0:
-        // End of LLDPDU.
-        if (!(have_chassis && have_port && have_ttl)) return std::nullopt;
+        // End of LLDPDU. Whatever follows is Ethernet padding up to the
+        // 64-byte minimum frame on a real wire, so it is ignored.
         return pkt;
       case kTlvChassis:
-        if (value.size() != 8) return std::nullopt;
-        pkt.chassis_ = get_u64(value);
-        have_chassis = true;
-        break;
       case kTlvPort:
-        if (value.size() != 2) return std::nullopt;
-        pkt.port_ = get_u16(value);
-        have_port = true;
-        break;
       case kTlvTtl:
-        if (value.size() != 2) return std::nullopt;
-        pkt.ttl_ = get_u16(value);
-        have_ttl = true;
-        break;
+        return std::nullopt;
       case kTlvOrg: {
         if (value.empty()) return std::nullopt;
         const std::uint8_t sub = value[0];

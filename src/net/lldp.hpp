@@ -83,7 +83,9 @@ class LldpPacket {
            (has_ts_ ? kOrgHeader + kNonceLen + kSealedLen : 0) + kEnd;
   }
 
-  /// Parse from bytes. nullopt on malformed input.
+  /// Parse from bytes: chassis ID, port ID and TTL first, in that order
+  /// and once each, then optional TLVs up to the End TLV; bytes after
+  /// it are padding. nullopt on malformed input.
   static std::optional<LldpPacket> parse(std::span<const std::uint8_t> bytes);
 
   bool operator==(const LldpPacket&) const = default;

@@ -1,12 +1,15 @@
 // Observability façade: one object bundling the metrics registry, the
-// span trace log, and the EventLoop profiling probe.
+// span trace log (the one trace sink, controller events included), and
+// the EventLoop profiling probe.
 //
 // Consumers (Controller, the services, both attacks, the testbeds) hold
-// a borrowed `obs::Observability*` that is null by default — the null
-// check is the zero-cost-when-disabled guard the fastpath-equivalence
-// CI leg relies on. Everything recorded here is sim-time derived, so a
-// run's exports are byte-identical across repetitions and `--jobs`
-// counts (tests/obs_test.cpp).
+// a borrowed `obs::Observability*` that is null by default. That null
+// check is the single "is a sink attached" test: with no Observability
+// nothing is recorded and no trace detail string is built (the
+// controller's trace_event takes its detail lazily). Everything
+// recorded here is sim-time derived, so a run's exports are
+// byte-identical across repetitions and `--jobs` counts
+// (tests/obs_test.cpp).
 #pragma once
 
 #include <cstddef>

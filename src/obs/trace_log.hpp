@@ -2,8 +2,12 @@
 //
 // A TraceLog records two record shapes: *spans* (begin/end instants plus
 // a parent id, so an LLDP probe round-trip or a hijack race window is
-// reconstructable as a tree) and *instants* (point events — the
-// trace::Tracer event kinds land here). All timestamps are sim-time
+// reconstructable as a tree) and *instants* (point events — every
+// controller event lands here as a "ctrl" instant, see
+// ctrl::Controller::trace_event, and ctrl::render_console() reads them
+// back as the controller console). It is the only trace sink: exports,
+// the console and the offline IDS trainer all read this log. All
+// timestamps are sim-time
 // nanoseconds, never the host clock, so the JSONL and Chrome trace
 // exports are deterministic and diffable across runs (the lint has a
 // hard wall-clock ban for src/obs/).
@@ -67,8 +71,7 @@ class TraceLog {
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
 
   /// Cumulative records ever begun for (category, name) / for category —
-  /// unaffected by the record cap or clear() (the Tracer adapter's
-  /// count()/total_recorded() delegate here).
+  /// unaffected by the record cap or clear().
   [[nodiscard]] std::uint64_t count(const std::string& category,
                                     const std::string& name) const;
   [[nodiscard]] std::uint64_t category_total(const std::string& category) const;

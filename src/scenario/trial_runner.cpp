@@ -16,8 +16,7 @@ namespace tmg::scenario {
 
 TrialRunner::TrialRunner(TrialRunnerOptions options)
     : jobs_{options.jobs == 0 ? sim::ThreadPool::hardware_jobs()
-                              : options.jobs},
-      legacy_{options.legacy} {}
+                              : options.jobs} {}
 
 std::uint64_t TrialRunner::trial_seed(std::uint64_t base_seed,
                                       std::size_t trial_index) {
@@ -96,10 +95,6 @@ void TrialRunner::run_chunks(
     const std::function<void(std::size_t, std::size_t, std::size_t)>&
         chunk_fn) const {
   if (trials == 0) return;
-  if (legacy_) {
-    run_chunks_legacy(trials, chunk_fn);
-    return;
-  }
 
   const std::size_t size = chunk_size(trials);
   const std::size_t n_chunks = chunk_count(trials);
@@ -166,50 +161,6 @@ void TrialRunner::run_chunks(
   }
   if (drain.error.any()) {
     std::rethrow_exception(drain.error.error);
-  }
-}
-
-void TrialRunner::run_chunks_legacy(
-    std::size_t trials,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>&
-        chunk_fn) const {
-  // Pre-chunking scheduler, preserved verbatim as the --speedup A/B
-  // baseline: one pool task and one exception_ptr slot per trial.
-  const std::size_t workers = jobs_ < trials ? jobs_ : trials;
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < trials; ++i) {
-      try {
-        chunk_fn(i, i, i + 1);
-      } catch (TrialIndexedError& te) {
-        std::rethrow_exception(te.inner);
-      }
-    }
-    return;
-  }
-  std::vector<std::exception_ptr> errors(trials);
-  std::atomic<bool> failed{false};
-  {
-    sim::ThreadPool pool{workers};
-    for (std::size_t i = 0; i < trials; ++i) {
-      pool.submit([&, i] {
-        if (failed.load(std::memory_order_relaxed)) return;  // fail fast
-        try {
-          chunk_fn(i, i, i + 1);
-        } catch (TrialIndexedError& te) {
-          errors[i] = std::move(te.inner);
-          failed.store(true, std::memory_order_relaxed);
-        } catch (...) {
-          errors[i] = std::current_exception();
-          failed.store(true, std::memory_order_relaxed);
-        }
-      });
-    }
-    pool.wait_idle();
-  }
-  if (failed.load(std::memory_order_relaxed)) {
-    for (std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
   }
 }
 

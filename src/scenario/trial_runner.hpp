@@ -38,16 +38,6 @@ struct TrialRunnerOptions {
   /// Worker count. 0 = one per hardware thread; 1 = the serial path (no
   /// threads are created at all).
   std::size_t jobs = 0;
-  /// Run the pre-chunking scheduler: one pool task per trial and a
-  /// per-trial exception vector. Kept as an A/B baseline for
-  /// tools/run_bench.py --speedup (--legacy-runner on the benches).
-  /// map/run_indexed results are identical either way, only the
-  /// scheduling overhead differs. reduce() under legacy holds one
-  /// partial per *trial* (merged in trial order — still deterministic
-  /// at any jobs value, but O(trials) accumulators, and partial
-  /// boundaries differ from the chunked runner, so order-sensitive
-  /// accumulators may round differently).
-  bool legacy = false;
 };
 
 class TrialRunner {
@@ -90,9 +80,7 @@ class TrialRunner {
   /// per-chunk accumulator, then merge the chunk accumulators on the
   /// caller's thread in chunk-index order. Memory is O(chunks), never
   /// O(trials) — a 10^6-trial sweep holds at most kMaxChunks partial
-  /// aggregates and zero per-trial results. (Exception: the legacy
-  /// baseline's chunks are single trials, so it keeps one partial per
-  /// trial — see TrialRunnerOptions::legacy.)
+  /// aggregates and zero per-trial results.
   ///
   ///   make():            -> Acc        fresh accumulator (per chunk,
   ///                                    plus one for the merged total)
@@ -107,11 +95,7 @@ class TrialRunner {
   auto reduce(std::size_t trials, MakeFn&& make, FoldFn&& fold,
               MergeFn&& merge) const -> decltype(make()) {
     using Acc = decltype(make());
-    // Size the partials to the geometry the scheduler actually emits:
-    // the legacy baseline schedules one single-trial chunk per trial
-    // (chunk index == trial index), not the <= kMaxChunks static grid.
-    const std::size_t n_chunks = legacy_ ? trials : chunk_count(trials);
-    std::vector<std::optional<Acc>> partials(n_chunks);
+    std::vector<std::optional<Acc>> partials(chunk_count(trials));
     run_chunks(trials,
                [&](std::size_t chunk, std::size_t begin, std::size_t end) {
                  Acc acc = make();
@@ -155,13 +139,7 @@ class TrialRunner {
       const std::function<void(std::size_t, std::size_t, std::size_t)>&
           chunk_fn) const;
 
-  void run_chunks_legacy(
-      std::size_t trials,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>&
-          chunk_fn) const;
-
   std::size_t jobs_;
-  bool legacy_;
 };
 
 /// Parse `--jobs N` / `--jobs=N` from a command line (0 when absent,

@@ -4,7 +4,7 @@
 // work stealing and no dynamic resizing. Simulation code itself stays
 // strictly single-threaded — each submitted job must own every object it
 // touches (its own EventLoop/Testbed/Rng). The determinism lint
-// (tools/lint_determinism.py, rule `threading`) bans threading
+// (tmglint's determinism pass, rule `threading`) bans threading
 // primitives everywhere in src/ except this file and the trial runner,
 // so concurrency cannot leak into the simulator core.
 //

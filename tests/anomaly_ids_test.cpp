@@ -178,6 +178,48 @@ TEST(AnomalyProfile, FromJsonRejectsGarbage) {
           .has_value());
 }
 
+// Numbers with no integer value in range (1e999 parses as infinity) are
+// rejected rather than converted: the double-to-integer cast is
+// undefined behaviour outside the target type's range.
+TEST(AnomalyProfile, OutOfRangeNumbersRejected) {
+  const std::string head =
+      "{\"format\":\"tmg-behavior-profile-v1\",\"ports\":[{\"port\":"
+      "\"0x1:1\",\"bigrams\":{\"Start>PktArp\":";
+  for (const char* count : {"1e999", "-1", "1.8446744073709552e19"}) {
+    std::string error;
+    EXPECT_FALSE(
+        ids::BehaviorProfile::from_json(head + count + "}}]}", &error))
+        << count;
+    EXPECT_NE(error.find("bigram count not a count"), std::string::npos)
+        << error;
+  }
+  std::string error;
+  const auto ok = ids::BehaviorProfile::from_json(head + "3}}]}", &error);
+  ASSERT_TRUE(ok.has_value()) << error;
+  EXPECT_TRUE(ok->has_bigram(ids::port_key({0x1, 1}), ids::Symbol::Start,
+                             ids::Symbol::PktArp));
+  const auto huge_trials = ids::BehaviorProfile::from_json(
+      "{\"format\":\"tmg-behavior-profile-v1\",\"trials\":1e999,"
+      "\"ports\":[]}",
+      &error);
+  ASSERT_TRUE(huge_trials.has_value()) << error;
+  EXPECT_EQ(huge_trials->trials, 0u);  // get_u64 falls back
+
+  ids::ProfileTrainer trainer;
+  error.clear();
+  EXPECT_FALSE(trainer.add_trace_jsonl(
+      "{\"ph\":\"instant\",\"cat\":\"ctrl\",\"name\":\"PORT_UP\","
+      "\"t_ns\":1e999,\"args\":{\"loc\":\"0x1:1\"}}\n",
+      &error));
+  EXPECT_EQ(error, "line 1: t_ns out of range");
+  error.clear();
+  EXPECT_FALSE(trainer.add_trace_jsonl(
+      "{\"ph\":\"span\",\"cat\":\"lldp\",\"name\":\"rtt\",\"t0_ns\":0,"
+      "\"t1_ns\":-1e30,\"args\":{\"outcome\":\"matched\"}}\n",
+      &error));
+  EXPECT_EQ(error, "line 1: span time out of range");
+}
+
 // Training is deterministic: the same trials in the same order yield a
 // byte-identical serialization (the tools/train_profile guarantee).
 TEST(AnomalyProfile, TrainingIsDeterministic) {

@@ -196,6 +196,64 @@ TEST(Lldp, ParseRejectsEmpty) {
   EXPECT_FALSE(LldpPacket::parse({}).has_value());
 }
 
+namespace {
+
+/// The wire bytes of `pkt` with `tlv` inserted just before the End TLV.
+std::vector<std::uint8_t> splice_before_end(const LldpPacket& pkt,
+                                            std::vector<std::uint8_t> tlv) {
+  auto bytes = pkt.serialize();
+  bytes.insert(bytes.end() - 2, tlv.begin(), tlv.end());
+  return bytes;
+}
+
+}  // namespace
+
+TEST(Lldp, ParseRejectsRepeatedChassisBeforeEnd) {
+  // A genuine signed frame with a second chassis TLV {0xCD} spliced in
+  // front of its end marker and junk after it. Accepting it would let
+  // the last chassis win, so an unauthenticated suite would read 0xCD.
+  const crypto::Key key = crypto::Key::derive(bytes_of("ctl"));
+  LldpPacket genuine{0xAB, 3};
+  genuine.sign(key);
+  auto bytes = splice_before_end(
+      genuine, {1, 8, 0, 0, 0, 0, 0, 0, 0, 0xCD});
+  bytes.insert(bytes.end(), {0xde, 0xad, 0xbe, 0xef});
+  EXPECT_FALSE(LldpPacket::parse(bytes).has_value());
+}
+
+TEST(Lldp, ParseRejectsDuplicateTtl) {
+  const auto bytes = splice_before_end(LldpPacket{0xAB, 3}, {3, 2, 0, 9});
+  EXPECT_FALSE(LldpPacket::parse(bytes).has_value());
+}
+
+TEST(Lldp, ParseRejectsOutOfOrderMandatoryTlvs) {
+  // Port ID before chassis ID: same TLVs, wrong order.
+  auto bytes = LldpPacket{0xAB, 3}.serialize();
+  std::vector<std::uint8_t> swapped(bytes.begin() + 10, bytes.begin() + 14);
+  swapped.insert(swapped.end(), bytes.begin(), bytes.begin() + 10);
+  std::copy(swapped.begin(), swapped.end(), bytes.begin());
+  EXPECT_EQ(bytes[0], 2);  // port TLV now leads
+  EXPECT_FALSE(LldpPacket::parse(bytes).has_value());
+  // An org TLV ahead of the mandatory three is out of order too.
+  LldpPacket signed_pkt{0xAB, 3};
+  signed_pkt.sign(crypto::Key::derive(bytes_of("ctl")));
+  const auto s = signed_pkt.serialize();
+  std::vector<std::uint8_t> org_first(s.begin() + 18, s.end() - 2);
+  org_first.insert(org_first.end(), s.begin(), s.begin() + 18);
+  org_first.insert(org_first.end(), {0, 0});
+  EXPECT_FALSE(LldpPacket::parse(org_first).has_value());
+}
+
+TEST(Lldp, ParseIgnoresPaddingAfterEnd) {
+  // Bytes after the End TLV are Ethernet padding on a real wire.
+  const LldpPacket in{0x1234, 7, 120};
+  auto bytes = in.serialize();
+  bytes.insert(bytes.end(), {0, 0, 0, 0, 0xff, 1, 8});
+  const auto parsed = LldpPacket::parse(bytes);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(*parsed, in);
+}
+
 TEST(Lldp, SignVerify) {
   const crypto::Key key = crypto::Key::derive(bytes_of("ctl"));
   LldpPacket p{0xAB, 3};

@@ -282,44 +282,6 @@ TEST(TrialRunnerTest, ReduceQuantilesByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(serial, run_at(8));
 }
 
-TEST(TrialRunnerTest, LegacyRunnerProducesIdenticalResults) {
-  // The pre-chunking scheduler is kept as the --speedup A/B baseline;
-  // it must stay observationally interchangeable with the default path
-  // — including well past kMaxChunks trials, where its per-trial
-  // "chunks" outnumber the chunked scheduler's static grid.
-  TrialRunner chunked{{4, false}};
-  TrialRunner legacy{{4, true}};
-  for (const std::size_t trials : {std::size_t{50}, std::size_t{200}}) {
-    const auto a =
-        chunked.map(trials, [](std::size_t i) { return i * 3 + 1; });
-    const auto b =
-        legacy.map(trials, [](std::size_t i) { return i * 3 + 1; });
-    EXPECT_EQ(a, b) << trials;
-  }
-}
-
-TEST(TrialRunnerTest, LegacyReduceHoldsOnePartialPerTrial) {
-  // Regression: the legacy scheduler emits chunk index == trial index,
-  // so reduce() must size its partials per *trial*, not per the static
-  // <= kMaxChunks grid — at 200 trials the old sizing wrote partials[64
-  // and up] out of bounds (bench_montecarlo --legacy-runner).
-  struct Acc {
-    std::uint64_t sum = 0;
-  };
-  std::uint64_t expect = 0;
-  for (std::uint64_t i = 0; i < 200; ++i) expect += i * i;
-  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    TrialRunner legacy{{jobs, true}};
-    const Acc total = legacy.reduce(
-        200, [] { return Acc{}; },
-        [](Acc& a, std::size_t i) {
-          a.sum += static_cast<std::uint64_t>(i) * i;
-        },
-        [](Acc& t, Acc&& part) { t.sum += part.sum; });
-    EXPECT_EQ(total.sum, expect) << jobs;
-  }
-}
-
 TEST(TrialRunnerTest, ReduceResetsTraceIdsAtEveryTrialEntry) {
   // DESIGN.md §7 rule 1 on the reduce path: every trial must start with
   // a fresh thread-local trace-id counter, so the first trace id a

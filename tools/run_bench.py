@@ -32,9 +32,7 @@ advisory: wall clock is host time, so the exit status never changes.
 records the whole scaling curve plus the host's CPU count. The tables
 printed at every sweep point must match the --jobs 1 run byte-for-byte
 — the driver diffs them and fails if parallelism changed any simulated
-result. One extra --legacy-runner run at --jobs 1 attributes how much
-of the serial wall clock the chunked scheduler + arenas bought on
-their own.
+result.
 
 --montecarlo-check runs bench_montecarlo --quick at --jobs 1 and
 --jobs 8 and fails unless the deterministic part of the JSON result
@@ -306,21 +304,11 @@ def main():
                   f"wall={result['wall_ms']:.0f} ms "
                   f"({curve[-1]['speedup']:.2f}x vs jobs=1, "
                   f"identical output)")
-        # Legacy-scheduler baseline at jobs=1: attributes the serial-path
-        # win (chunked dispatch + warm arenas) separately from threading.
-        legacy, legacy_out = run_bench(
-            binary, workload + ["--jobs", "1", "--legacy-runner"])
-        if strip_bench_lines(legacy_out) != serial_stripped:
-            sys.exit("error: attack-matrix output differs between the "
-                     "chunked and legacy runners — scheduler changed a "
-                     "simulated result")
         best = min(curve, key=lambda p: p["wall_ms"])
         report["speedup"] = {
             "workload": "attack_matrix --trials 10 (200 experiments)",
             "host_cpus": os.cpu_count(),
             "curve": curve,
-            "legacy_runner_jobs1_wall_ms": legacy["wall_ms"],
-            "serial_vs_legacy_speedup": legacy["wall_ms"] / serial_wall,
             "jobs": best["jobs"],
             "serial_wall_ms": serial_wall,
             "parallel_wall_ms": best["wall_ms"],
@@ -328,10 +316,7 @@ def main():
             "output_identical": True,
         }
         print(f"[run_bench] speedup: best {best['speedup']:.2f}x at "
-              f"jobs={best['jobs']} on {os.cpu_count()} host CPUs; "
-              f"legacy-runner serial baseline "
-              f"{legacy['wall_ms']:.0f} ms "
-              f"({legacy['wall_ms'] / serial_wall:.2f}x vs chunked serial)")
+              f"jobs={best['jobs']} on {os.cpu_count()} host CPUs")
 
     if args.fastpath_check:
         binary = os.path.join(bench_dir, "bench_attack_matrix")

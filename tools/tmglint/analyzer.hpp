@@ -2,9 +2,9 @@
 //
 // Four passes over a lexed SourceTree (DESIGN.md §11):
 //
-//   determinism  — the nine legacy lint_determinism.py rules, re-hosted
-//                  on the token stream (no string/comment false
-//                  positives), same suppression grammar and scoping.
+//   determinism  — the nine reproducibility bans (wall clock, libc
+//                  rand, shared Rngs, threading, ...) on the token
+//                  stream, so strings and comments never trigger them.
 //   lifetime     — posted-callback lifetime: lambdas handed to
 //                  EventLoop::post_at/post_after that capture stack
 //                  locals by reference, or `this` through a loop the

@@ -1,9 +1,11 @@
-// Determinism rules v2: the nine lint_determinism.py rules on the
-// token stream. Scope, suppression grammar, and verdicts mirror the
-// legacy regex linter exactly (tools/lint_determinism.py keeps running
-// as a thin wrapper over this pass); the difference is that a banned
-// identifier inside a comment, string literal, or raw string can no
-// longer trigger — or mask — a finding.
+// Determinism rules: the nine bans that keep every simulated run
+// bit-reproducible (wall clocks, libc rand, random_device, unordered
+// iteration, pointer keys, threading, shared Rngs, registry bypass,
+// cache coherence), checked on the token stream. A banned identifier
+// inside a comment, string literal, or raw string can neither trigger
+// nor mask a finding. This is the only determinism engine; ctest runs
+// it through `lint.tmglint`, and tests/tmglint_test.cpp pins every
+// rule both ways.
 #include <array>
 #include <set>
 #include <string>
