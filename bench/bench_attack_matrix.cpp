@@ -91,7 +91,8 @@ int main(int argc, char** argv) {
     if (arg == "--check") check_invariants = true;
     if (arg.rfind("--profile=", 0) == 0) {
       profile = parse_profile_or_die(arg.substr(10));
-    } else if (arg == "--profile" && i + 1 < argc) {
+    } else if (arg == "--profile") {
+      if (i + 1 >= argc) scenario::die_missing_value("--profile");
       profile = parse_profile_or_die(argv[++i]);
     }
   }
@@ -210,7 +211,7 @@ int main(int argc, char** argv) {
   }
 
   if (profile) {
-    // [bench] lines are stripped by the golden/fastpath gates, so the
+    // [bench] lines are stripped by the golden gates, so the
     // profile announcement never perturbs byte-identity checks.
     std::printf("[bench] profile=%s\n", profile->name.c_str());
   }

@@ -1,5 +1,4 @@
-// Flow-table fast-path microbenchmark — dst-MAC-indexed lookup and
-// heap-based expiry.
+// Flow-table microbenchmark — linear-scan lookup, add and expiry.
 //
 // Workload: one of::FlowTable driven by a deterministic op mix shaped
 // like a live reactive switch: lookups dominate (90%), with a trickle
@@ -9,14 +8,14 @@
 // monitoring rules at lower priority. MACs come from a 256-host
 // universe and rules live for simulated seconds while the clock steps a
 // millisecond per op, so the table holds a few hundred entries in
-// steady state — the regime where a linear scan walks half the table on
-// a hit and all of it on a miss, but the dst-MAC index visits only the
-// packet's own bucket plus the wildcard rules.
+// steady state — a stress case where the scan walks half the table on
+// a hit and all of it on a miss. Simulated switches hold far fewer
+// rules (about 29 on a k=8 fat-tree under background traffic), which is
+// why the table has no index (DESIGN.md §8b).
 //
-// --trials N sets the op count (default 400k, --quick 40k);
-// --no-fastpath runs every op through the original linear-scan
-// algorithms. The printed checksum (lookup hits, expired entries, final
-// table size) is identical in both modes — only the wall clock moves.
+// --trials N sets the op count (default 400k, --quick 40k). The printed
+// checksum (lookup hits, expired entries, final table size) pins the
+// table's semantics; only the wall clock may move.
 // Registered in ctest as a non-failing info test (bench.flow_table.info).
 #include <cstdio>
 

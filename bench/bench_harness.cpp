@@ -8,7 +8,6 @@
 
 #include "obs/observability.hpp"
 #include "scenario/trial_runner.hpp"
-#include "sim/fastpath.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace tmg::bench {
@@ -36,27 +35,31 @@ std::size_t parse_trials_or_die(const char* value) {
 HarnessOptions parse_harness_args(int argc, char** argv) {
   HarnessOptions opts;
   opts.jobs = scenario::parse_jobs_arg(argc, argv);
+  // A value-taking flag as the last argument must not be dropped
+  // silently: a lost --json would write no file and still exit 0.
+  const auto value_after = [&](int i) {
+    if (i + 1 >= argc) scenario::die_missing_value(argv[i]);
+    return argv[i + 1];
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       opts.quick = true;
-    } else if (std::strcmp(argv[i], "--no-fastpath") == 0) {
-      opts.no_fastpath = true;
     } else if (std::strcmp(argv[i], "--obs") == 0) {
       opts.obs = true;
-    } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      opts.trials = parse_trials_or_die(argv[i + 1]);
+    } else if (std::strcmp(argv[i], "--trials") == 0) {
+      opts.trials = parse_trials_or_die(value_after(i));
     } else if (std::strncmp(argv[i], "--trials=", 9) == 0) {
       opts.trials = parse_trials_or_die(argv[i] + 9);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      opts.json_path = argv[i + 1];
+    } else if (std::strcmp(argv[i], "--json") == 0) {
+      opts.json_path = value_after(i);
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       opts.json_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--obs-out") == 0 && i + 1 < argc) {
-      opts.obs_out_path = argv[i + 1];
+    } else if (std::strcmp(argv[i], "--obs-out") == 0) {
+      opts.obs_out_path = value_after(i);
     } else if (std::strncmp(argv[i], "--obs-out=", 10) == 0) {
       opts.obs_out_path = argv[i] + 10;
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-      opts.trace_out_path = argv[i + 1];
+    } else if (std::strcmp(argv[i], "--trace-out") == 0) {
+      opts.trace_out_path = value_after(i);
     } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
       opts.trace_out_path = argv[i] + 12;
     }
@@ -66,9 +69,6 @@ HarnessOptions parse_harness_args(int argc, char** argv) {
   if (!opts.obs_out_path.empty() || !opts.trace_out_path.empty()) {
     opts.obs = true;
   }
-  // Applied here so every bench honours the flag without plumbing it
-  // through its workload; worker threads inherit the process-global.
-  if (opts.no_fastpath) sim::set_fastpath_enabled(false);
   return opts;
 }
 

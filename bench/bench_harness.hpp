@@ -16,11 +16,9 @@
 //                   also write the observed trial's trace log to PATH as
 //                   JSONL (implies --obs). tools/train_profile consumes
 //                   these exports to learn behavior profiles.
-//   --no-fastpath   disable the algorithmic fast paths (path cache,
-//                   indexed flow tables, incremental statistics) and run
-//                   the naive reference algorithms instead. Simulated
-//                   output must be byte-identical either way; CI diffs
-//                   the attack-matrix stdout across the two modes.
+//
+// A value-taking flag with no value after it exits 2 with an error
+// naming the flag.
 //
 // Wall-clock time is host time (std::chrono), which is fine here: it
 // never feeds simulation results, only the perf report. src/ stays under
@@ -42,7 +40,6 @@ struct HarnessOptions {
   std::size_t trials = 0;  // 0 = use the bench's default
   std::size_t jobs = 0;    // 0 = hardware concurrency
   bool quick = false;
-  bool no_fastpath = false;    // already applied by parse_harness_args
   bool obs = false;            // --obs: collect an observability snapshot
   std::string json_path;
   std::string obs_out_path;    // --obs-out: metrics snapshot file

@@ -214,7 +214,7 @@ void InvariantChecker::check_caches(std::vector<std::string>& out) {
       report(out, "cache: " + module->name() + ": " + issue);
     }
   }
-  // Externally registered audits (indexed switch flow tables, etc.).
+  // Externally registered audits (switch flow tables, etc.).
   for (const auto& [name, fn] : audits_) {
     for (std::string& issue : fn()) {
       report(out, "cache: " + name + ": " + issue);

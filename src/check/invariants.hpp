@@ -20,11 +20,11 @@
 //   6. LLDP conservation — every probe emitted is matched, expired, or
 //      still outstanding exactly once, and every reception falls in
 //      exactly one classification bucket.
-//   7. Cache coherence — every fast-path structure must agree with the
-//      naive recomputation it replaces: the routing service's path cache
-//      against fresh BFS, each defense module's internal caches (LLI's
-//      incremental order statistics), and any externally registered
-//      audits (the Testbed wires in each switch's indexed flow table).
+//   7. Cache coherence — every incremental structure must agree with
+//      the naive recomputation it stands in for: the routing service's
+//      path cache against fresh BFS, each defense module's internal
+//      caches (LLI's incremental order statistics), and any externally
+//      registered audits (the Testbed wires in each switch's flow table).
 //   8. Pipeline/registry coherence — the message pipeline's listener
 //      chain is priority-sorted with unique names and sane counters
 //      (delegated to MessagePipeline::audit), the chain matches the

@@ -39,8 +39,8 @@ check::InvariantChecker& Testbed::enable_invariant_checker(
     opts.assert_on_violation = true;
     checker_ =
         std::make_unique<check::InvariantChecker>(*controller_, opts);
-    // Cache-coherence audits: each switch's indexed flow table must keep
-    // agreeing with the plain priority-sorted vector it accelerates.
+    // Structural audits: each switch's flow table must stay
+    // priority-sorted with an accurate LLDP-rule gate.
     for (auto& [dpid, entry] : switches_) {
       of::Switch* sw = entry.sw.get();
       checker_->add_audit("flow table dpid " + std::to_string(dpid),

@@ -208,10 +208,16 @@ namespace {
 
 }  // namespace
 
+void die_missing_value(const char* flag) {
+  std::fprintf(stderr, "error: %s expects a value\n", flag);
+  std::exit(2);
+}
+
 std::size_t parse_jobs_arg(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--jobs") == 0) {
+      if (i + 1 >= argc) die_missing_value("--jobs");
       value = argv[i + 1];
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
       value = argv[i] + 7;

@@ -5,13 +5,12 @@
 // latency measurements over which Q1/Q3/IQR are computed, with threshold
 // Q3 + k*IQR (k = 3 in the paper).
 //
-// Fast path: alongside the ring the window maintains a sorted mirror of
-// the same samples (O(log n) search + O(n) memmove per add — cheap at
-// LLI window sizes) and a cached threshold recomputed only after the
-// contents change. Because the mirror holds the identical multiset of
-// doubles the naive copy+sort would produce, quantile_sorted sees the
-// same sorted sequence and the threshold is bit-identical. With the
-// fast path disabled every call recomputes from scratch.
+// Alongside the ring the window maintains a sorted mirror of the same
+// samples (O(log n) search + O(n) memmove per add — cheap at LLI window
+// sizes) and a cached threshold recomputed only after the contents
+// change. Because the mirror holds the identical multiset of doubles a
+// copy+sort of the ring would produce, quantile_sorted sees the same
+// sorted sequence and the threshold is bit-identical to compute_iqr().
 #pragma once
 
 #include <cstddef>

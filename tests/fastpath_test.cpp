@@ -1,9 +1,10 @@
-// Randomized equivalence tests for the algorithmic fast paths.
+// Randomized equivalence tests for the incremental data structures.
 //
-// Each fast-path structure (epoch-keyed PathCache, dst-MAC-indexed
-// FlowTable, incremental LatencyWindow, DedupRing) is driven with random
-// operation sequences and compared, step by step, against the naive
-// reference it replaces. Seeded Rng, so failures are reproducible.
+// Each structure (epoch-keyed PathCache, incremental LatencyWindow,
+// DedupRing) is driven with random operation sequences and compared,
+// step by step, against the naive recomputation it stands in for. The
+// flow table has its own order-free model in property_test.cpp. Seeded
+// Rng, so failures are reproducible.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,9 +14,7 @@
 #include <vector>
 
 #include "ctrl/dedup_ring.hpp"
-#include "of/flow_table.hpp"
 #include "sim/event_loop.hpp"
-#include "sim/fastpath.hpp"
 #include "sim/rng.hpp"
 #include "stats/latency_window.hpp"
 #include "stats/quantile.hpp"
@@ -27,21 +26,6 @@ namespace {
 
 using sim::Duration;
 using sim::Rng;
-using sim::SimTime;
-
-/// Restore the process-global fast-path flag when a test scope exits.
-class FastpathGuard {
- public:
-  explicit FastpathGuard(bool enabled) : saved_{sim::fastpath_enabled()} {
-    sim::set_fastpath_enabled(enabled);
-  }
-  ~FastpathGuard() { sim::set_fastpath_enabled(saved_); }
-  FastpathGuard(const FastpathGuard&) = delete;
-  FastpathGuard& operator=(const FastpathGuard&) = delete;
-
- private:
-  bool saved_;
-};
 
 // ---------------- LatencyWindow vs sort-based reference ----------------
 
@@ -82,215 +66,8 @@ TEST_P(LatencyWindowFuzz, IncrementalThresholdMatchesNaiveSort) {
   }
 }
 
-TEST_P(LatencyWindowFuzz, FastpathOffMatchesFastpathOn) {
-  // Same operation sequence with the fast path enabled and disabled:
-  // thresholds must be bitwise identical.
-  const auto run = [&](bool fastpath) {
-    FastpathGuard guard{fastpath};
-    Rng rng{GetParam()};
-    stats::LatencyWindow window{17, 3.0, 5};
-    std::vector<double> thresholds;
-    for (int step = 0; step < 500; ++step) {
-      window.add(rng.normal(20.0, 5.0));
-      thresholds.push_back(window.threshold().value_or(-1.0));
-    }
-    return thresholds;
-  };
-  ASSERT_EQ(run(true), run(false));
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, LatencyWindowFuzz,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
-
-// ---------------- FlowTable vs linear-scan reference ----------------
-
-/// The original linear-scan flow table, kept verbatim as the semantic
-/// oracle for the indexed implementation.
-class LinearFlowTable {
- public:
-  void add(of::FlowEntry entry, SimTime now) {
-    entry.installed_at = now;
-    entry.last_matched_at = now;
-    for (auto& e : entries_) {
-      if (e.priority == entry.priority && e.match == entry.match) {
-        e = entry;
-        return;
-      }
-    }
-    const auto pos = std::find_if(
-        entries_.begin(), entries_.end(),
-        [&](const of::FlowEntry& e) { return e.priority < entry.priority; });
-    entries_.insert(pos, std::move(entry));
-  }
-
-  std::vector<of::FlowEntry> remove_matching(const of::FlowMatch& match) {
-    std::vector<of::FlowEntry> removed;
-    auto it = entries_.begin();
-    while (it != entries_.end()) {
-      if (it->match == match) {
-        removed.push_back(*it);
-        it = entries_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    return removed;
-  }
-
-  of::FlowEntry* lookup(const net::Packet& pkt, of::PortNo in_port,
-                        SimTime now) {
-    for (auto& e : entries_) {
-      if (e.match.matches(pkt, in_port)) {
-        ++e.packet_count;
-        e.byte_count += pkt.wire_size();
-        e.last_matched_at = now;
-        return &e;
-      }
-    }
-    return nullptr;
-  }
-
-  std::vector<of::ExpiredEntry> expire(SimTime now) {
-    std::vector<of::ExpiredEntry> expired;
-    auto it = entries_.begin();
-    while (it != entries_.end()) {
-      const bool hard = it->hard_timeout > Duration::zero() &&
-                        now - it->installed_at >= it->hard_timeout;
-      const bool idle = it->idle_timeout > Duration::zero() &&
-                        now - it->last_matched_at >= it->idle_timeout;
-      if (hard || idle) {
-        expired.push_back(of::ExpiredEntry{
-            *it, hard ? of::FlowRemoved::Reason::HardTimeout
-                      : of::FlowRemoved::Reason::IdleTimeout});
-        it = entries_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    return expired;
-  }
-
-  [[nodiscard]] const std::vector<of::FlowEntry>& entries() const {
-    return entries_;
-  }
-
- private:
-  std::vector<of::FlowEntry> entries_;
-};
-
-bool same_entry(const of::FlowEntry& a, const of::FlowEntry& b) {
-  return a.cookie == b.cookie && a.match == b.match && a.action == b.action &&
-         a.priority == b.priority && a.idle_timeout == b.idle_timeout &&
-         a.hard_timeout == b.hard_timeout &&
-         a.packet_count == b.packet_count && a.byte_count == b.byte_count &&
-         a.installed_at == b.installed_at &&
-         a.last_matched_at == b.last_matched_at;
-}
-
-class FlowTableFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(FlowTableFuzz, IndexedTableMatchesLinearScan) {
-  Rng rng{GetParam()};
-  of::FlowTable indexed;
-  LinearFlowTable linear;
-  SimTime now = SimTime::zero();
-  std::uint64_t next_cookie = 1;
-
-  // A small universe of MACs/ports so priority ties, identical matches,
-  // wildcards and dst collisions all happen often.
-  const auto random_mac = [&] {
-    return net::MacAddress::host(
-        static_cast<std::uint32_t>(rng.uniform_int(1, 6)));
-  };
-  const auto random_match = [&] {
-    of::FlowMatch m;
-    if (rng.uniform_int(0, 9) < 8) m.dst_mac = random_mac();
-    if (rng.uniform_int(0, 9) < 3) m.src_mac = random_mac();
-    if (rng.uniform_int(0, 9) < 2)
-      m.in_port = static_cast<of::PortNo>(rng.uniform_int(1, 4));
-    return m;
-  };
-  const auto random_packet = [&] {
-    net::Packet pkt;
-    pkt.src_mac = random_mac();
-    pkt.dst_mac = random_mac();
-    return pkt;
-  };
-
-  for (int step = 0; step < 4000; ++step) {
-    now = now + Duration::millis(rng.uniform_int(0, 200));
-    const int op = static_cast<int>(rng.uniform_int(0, 99));
-    if (op < 30) {
-      of::FlowEntry e;
-      e.cookie = next_cookie++;
-      e.match = random_match();
-      e.action = of::FlowAction::output(
-          static_cast<of::PortNo>(rng.uniform_int(1, 4)));
-      e.priority = static_cast<std::uint16_t>(100 + rng.uniform_int(0, 2));
-      if (rng.uniform_int(0, 2) != 0)
-        e.idle_timeout = Duration::seconds(rng.uniform_int(1, 5));
-      if (rng.uniform_int(0, 3) == 0)
-        e.hard_timeout = Duration::seconds(rng.uniform_int(1, 8));
-      indexed.add(e, now);
-      linear.add(e, now);
-    } else if (op < 75) {
-      const net::Packet pkt = random_packet();
-      const auto in_port = static_cast<of::PortNo>(rng.uniform_int(1, 4));
-      of::FlowEntry* a = indexed.lookup(pkt, in_port, now);
-      of::FlowEntry* b = linear.lookup(pkt, in_port, now);
-      ASSERT_EQ(a != nullptr, b != nullptr) << "step " << step;
-      if (a != nullptr) {
-        ASSERT_TRUE(same_entry(*a, *b)) << "step " << step;
-      }
-    } else if (op < 85) {
-      const of::FlowMatch m = random_match();  // DeleteMatching semantics
-      const auto a = indexed.remove_matching(m);
-      const auto b = linear.remove_matching(m);
-      ASSERT_EQ(a.size(), b.size()) << "step " << step;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_TRUE(same_entry(a[i], b[i])) << "step " << step;
-      }
-    } else {
-      const auto a = indexed.expire(now);
-      const auto b = linear.expire(now);
-      ASSERT_EQ(a.size(), b.size()) << "step " << step;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_TRUE(same_entry(a[i].entry, b[i].entry)) << "step " << step;
-        ASSERT_EQ(a[i].reason, b[i].reason) << "step " << step;
-      }
-    }
-    // Full-state equivalence after every operation.
-    ASSERT_EQ(indexed.entries().size(), linear.entries().size());
-    for (std::size_t i = 0; i < indexed.entries().size(); ++i) {
-      ASSERT_TRUE(same_entry(indexed.entries()[i], linear.entries()[i]))
-          << "step " << step << " position " << i;
-    }
-    ASSERT_TRUE(indexed.audit().empty()) << "step " << step;
-  }
-}
-
-TEST_P(FlowTableFuzz, FastpathOffRunsLinearAlgorithms) {
-  FastpathGuard guard{false};
-  Rng rng{GetParam()};
-  of::FlowTable table;
-  SimTime now = SimTime::zero();
-  for (int i = 0; i < 50; ++i) {
-    of::FlowEntry e;
-    e.match.dst_mac = net::MacAddress::host(
-        static_cast<std::uint32_t>(rng.uniform_int(1, 4)));
-    e.idle_timeout = Duration::seconds(1);
-    table.add(e, now);
-  }
-  ASSERT_LE(table.size(), 4u);  // identical (match, priority) replaced
-  ASSERT_TRUE(table.audit().empty());
-  now = now + Duration::seconds(2);
-  const std::size_t before = table.size();
-  ASSERT_EQ(table.expire(now).size(), before);
-  ASSERT_EQ(table.size(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FlowTableFuzz,
-                         ::testing::Values(11u, 12u, 13u, 14u, 15u));
 
 // ---------------- PathCache vs fresh BFS ----------------
 

@@ -103,7 +103,125 @@ const of::FlowEntry* lookup(const std::vector<Entry>& entries,
   return best ? &best->e : nullptr;
 }
 
+/// Order-free model of a flow table with timeouts. Entries sit in
+/// arbitrary storage order (removal swaps with the back); every query
+/// derives the table order from (priority desc, insertion order asc)
+/// instead of keeping a sorted container, so it shares no algorithm
+/// with of::FlowTable.
+class Table {
+ public:
+  void add(of::FlowEntry e, SimTime now) {
+    e.installed_at = now;
+    e.last_matched_at = now;
+    for (auto& entry : entries_) {
+      // OpenFlow replace: same (match, priority) keeps its table slot.
+      if (entry.e.priority == e.priority && entry.e.match == e.match) {
+        entry.e = e;
+        return;
+      }
+    }
+    entries_.push_back({e, next_order_++});
+  }
+
+  /// Highest-priority, earliest-installed match; bumps its counters.
+  /// `lldp_only` restricts the candidates to rules pinned to LLDP.
+  const of::FlowEntry* lookup(const net::Packet& pkt, of::PortNo in_port,
+                              SimTime now, bool lldp_only) {
+    Entry* best = nullptr;
+    for (auto& entry : entries_) {
+      if (lldp_only && !pins_lldp(entry.e)) continue;
+      if (!entry.e.match.matches(pkt, in_port)) continue;
+      if (best == nullptr || earlier(entry, *best)) best = &entry;
+    }
+    if (best == nullptr) return nullptr;
+    ++best->e.packet_count;
+    best->e.byte_count += pkt.wire_size();
+    best->e.last_matched_at = now;
+    return &best->e;
+  }
+
+  std::vector<of::FlowEntry> remove_matching(const of::FlowMatch& match) {
+    std::vector<of::FlowEntry> out;
+    for (const Entry& entry :
+         take([&](const Entry& x) { return x.e.match == match; })) {
+      out.push_back(entry.e);
+    }
+    return out;
+  }
+
+  std::vector<of::ExpiredEntry> expire(SimTime now) {
+    const auto hard = [&](const of::FlowEntry& e) {
+      return e.hard_timeout > Duration::zero() &&
+             now >= e.installed_at + e.hard_timeout;
+    };
+    const auto idle = [&](const of::FlowEntry& e) {
+      return e.idle_timeout > Duration::zero() &&
+             now >= e.last_matched_at + e.idle_timeout;
+    };
+    std::vector<of::ExpiredEntry> out;
+    for (const Entry& entry : take([&](const Entry& x) {
+           return hard(x.e) || idle(x.e);
+         })) {
+      out.push_back({entry.e, hard(entry.e)
+                                  ? of::FlowRemoved::Reason::HardTimeout
+                                  : of::FlowRemoved::Reason::IdleTimeout});
+    }
+    return out;
+  }
+
+  [[nodiscard]] bool has_lldp_rule() const {
+    return std::any_of(entries_.begin(), entries_.end(),
+                       [](const Entry& x) { return pins_lldp(x.e); });
+  }
+
+  [[nodiscard]] std::vector<of::FlowEntry> in_table_order() const {
+    std::vector<Entry> sorted = entries_;
+    std::sort(sorted.begin(), sorted.end(), earlier);
+    std::vector<of::FlowEntry> out;
+    for (const Entry& entry : sorted) out.push_back(entry.e);
+    return out;
+  }
+
+ private:
+  static bool pins_lldp(const of::FlowEntry& e) {
+    return e.match.ethertype == net::EtherType::Lldp;
+  }
+  static bool earlier(const Entry& a, const Entry& b) {
+    if (a.e.priority != b.e.priority) return a.e.priority > b.e.priority;
+    return a.order < b.order;
+  }
+  /// Remove every entry satisfying `pred`, returned in table order.
+  template <typename Pred>
+  std::vector<Entry> take(Pred pred) {
+    std::vector<Entry> taken;
+    for (std::size_t i = 0; i < entries_.size();) {
+      if (pred(entries_[i])) {
+        taken.push_back(entries_[i]);
+        entries_[i] = entries_.back();
+        entries_.pop_back();
+      } else {
+        ++i;
+      }
+    }
+    std::sort(taken.begin(), taken.end(), earlier);
+    return taken;
+  }
+
+  std::vector<Entry> entries_;
+  std::uint64_t next_order_ = 0;
+};
+
 }  // namespace reference
+
+bool same_entry(const of::FlowEntry& a, const of::FlowEntry& b) {
+  return a.cookie == b.cookie && a.match == b.match && a.action == b.action &&
+         a.priority == b.priority && a.idle_timeout == b.idle_timeout &&
+         a.hard_timeout == b.hard_timeout &&
+         a.notify_on_removal == b.notify_on_removal &&
+         a.packet_count == b.packet_count && a.byte_count == b.byte_count &&
+         a.installed_at == b.installed_at &&
+         a.last_matched_at == b.last_matched_at;
+}
 
 class FlowTableModel : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -158,6 +276,108 @@ TEST_P(FlowTableModel, LookupAgreesWithReference) {
     if (got) {
       EXPECT_EQ(got->cookie, want->cookie) << "query " << i;
     }
+  }
+}
+
+TEST_P(FlowTableModel, TimedOpsAgreeWithReference) {
+  // Random adds (with idle/hard timeouts and replacement), packet and
+  // LLDP-override lookups, exact-match removals and expiry sweeps,
+  // checked against the model after every operation: returned entries,
+  // their order, expiry reasons, counters, the LLDP gate and the full
+  // table in priority order.
+  Rng rng{GetParam()};
+  of::FlowTable table;
+  reference::Table model;
+  SimTime now = SimTime::zero();
+  std::uint64_t next_cookie = 1;
+
+  // A small universe of MACs, ports and ethertypes so priority ties,
+  // identical matches, wildcards and LLDP-pinned rules all recur.
+  const auto random_mac = [&] {
+    return rng.chance(0.1) ? net::MacAddress::lldp_multicast()
+                           : net::MacAddress::host(static_cast<std::uint32_t>(
+                                 rng.uniform_int(1, 6)));
+  };
+  const auto random_ethertype = [&] {
+    const std::int64_t pick = rng.uniform_int(0, 2);
+    return pick == 0   ? net::EtherType::Lldp
+           : pick == 1 ? net::EtherType::Ipv4
+                       : net::EtherType::Arp;
+  };
+  const auto random_match = [&] {
+    of::FlowMatch m;
+    if (rng.chance(0.8)) m.dst_mac = random_mac();
+    if (rng.chance(0.3)) m.src_mac = random_mac();
+    if (rng.chance(0.2))
+      m.in_port = static_cast<of::PortNo>(rng.uniform_int(1, 4));
+    if (rng.chance(0.3)) m.ethertype = random_ethertype();
+    if (rng.chance(0.1)) m.src_ip = net::Ipv4Address::host(
+        static_cast<std::uint32_t>(rng.uniform_int(1, 3)));
+    return m;
+  };
+  const auto random_packet = [&] {
+    const net::MacAddress src = random_mac();
+    if (rng.chance(0.3)) {
+      return net::make_lldp_frame(
+          src, net::LldpPacket{static_cast<net::Dpid>(rng.uniform_int(1, 4)),
+                               static_cast<net::PortNo>(rng.uniform_int(1, 4))});
+    }
+    const auto ip = net::Ipv4Address::host(
+        static_cast<std::uint32_t>(rng.uniform_int(1, 3)));
+    return net::make_icmp_echo(src, ip, random_mac(), ip, 1, 1);
+  };
+  const auto same_list = [](const std::vector<of::FlowEntry>& a,
+                            const std::vector<of::FlowEntry>& b) {
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(), same_entry);
+  };
+
+  for (int step = 0; step < 4000; ++step) {
+    now = now + Duration::millis(rng.uniform_int(0, 200));
+    const int op = static_cast<int>(rng.uniform_int(0, 99));
+    if (op < 30) {
+      of::FlowEntry e;
+      e.cookie = next_cookie++;
+      e.match = random_match();
+      e.action = of::FlowAction::output(
+          static_cast<of::PortNo>(rng.uniform_int(1, 4)));
+      e.priority = static_cast<std::uint16_t>(100 + rng.uniform_int(0, 2));
+      e.notify_on_removal = rng.chance(0.5);
+      if (rng.uniform_int(0, 2) != 0)
+        e.idle_timeout = Duration::seconds(rng.uniform_int(1, 5));
+      if (rng.uniform_int(0, 3) == 0)
+        e.hard_timeout = Duration::seconds(rng.uniform_int(1, 8));
+      table.add(e, now);
+      model.add(e, now);
+    } else if (op < 75) {
+      const net::Packet pkt = random_packet();
+      const auto in_port = static_cast<of::PortNo>(rng.uniform_int(1, 4));
+      const bool lldp_only = rng.chance(0.3);
+      const of::FlowEntry* got =
+          lldp_only ? table.lookup_lldp_override(pkt, in_port, now)
+                    : table.lookup(pkt, in_port, now);
+      const of::FlowEntry* want = model.lookup(pkt, in_port, now, lldp_only);
+      ASSERT_EQ(got != nullptr, want != nullptr) << "step " << step;
+      if (got != nullptr) {
+        ASSERT_TRUE(same_entry(*got, *want)) << "step " << step;
+      }
+    } else if (op < 85) {
+      const of::FlowMatch m = random_match();  // DeleteMatching semantics
+      ASSERT_TRUE(same_list(table.remove_matching(m), model.remove_matching(m)))
+          << "step " << step;
+    } else {
+      const auto got = table.expire(now);
+      const auto want = model.expire(now);
+      ASSERT_EQ(got.size(), want.size()) << "step " << step;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_TRUE(same_entry(got[i].entry, want[i].entry)) << "step " << step;
+        ASSERT_EQ(got[i].reason, want[i].reason) << "step " << step;
+      }
+    }
+    ASSERT_TRUE(same_list(table.entries(), model.in_table_order()))
+        << "step " << step;
+    ASSERT_EQ(table.has_lldp_rule(), model.has_lldp_rule()) << "step " << step;
+    ASSERT_TRUE(table.audit().empty()) << "step " << step;
   }
 }
 

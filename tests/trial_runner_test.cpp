@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_harness.hpp"
 #include "net/packet.hpp"
 #include "scenario/experiments.hpp"
 #include "scenario/trial_arena.hpp"
@@ -418,6 +419,38 @@ TEST(ParseJobsTest, ParsesBothFlagSpellings) {
   EXPECT_EQ(parse_jobs_arg(3, const_cast<char**>(sep_form)), 3u);
   const char* absent[] = {"bench", "--trials", "10"};
   EXPECT_EQ(parse_jobs_arg(3, const_cast<char**>(absent)), 0u);
+}
+
+TEST(ParseJobsTest, TrailingJobsFlagExitsNamingIt) {
+  const char* argv[] = {"bench", "--trials", "1", "--jobs"};
+  EXPECT_EXIT(parse_jobs_arg(4, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "--jobs expects a value");
+}
+
+TEST(ParseHarnessArgsTest, TrailingValueFlagExitsNamingIt) {
+  // A value-taking flag as the last argument must fail loudly: a
+  // dropped --json would write no file while the bench exits 0.
+  for (const char* flag :
+       {"--json", "--trials", "--jobs", "--obs-out", "--trace-out"}) {
+    const char* argv[] = {"bench", "--quick", flag};
+    EXPECT_EXIT(bench::parse_harness_args(3, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(2),
+                std::string{flag} + " expects a value")
+        << flag;
+  }
+}
+
+TEST(ParseHarnessArgsTest, ParsesValueFlagsInBothSpellings) {
+  const char* argv[] = {"bench",           "--trials",  "7",
+                        "--json=out.json", "--obs-out", "m.json",
+                        "--trace-out=t.jsonl"};
+  const bench::HarnessOptions opts =
+      bench::parse_harness_args(7, const_cast<char**>(argv));
+  EXPECT_EQ(opts.trials, 7u);
+  EXPECT_EQ(opts.json_path, "out.json");
+  EXPECT_EQ(opts.obs_out_path, "m.json");
+  EXPECT_EQ(opts.trace_out_path, "t.jsonl");
+  EXPECT_TRUE(opts.obs);  // the export flags imply --obs
 }
 
 TEST(TrialRunnerTest, ParallelTrialsActuallyRunOnPoolThreads) {

@@ -8,7 +8,10 @@ The refactor's correctness contract (DESIGN.md §9) has two halves:
      output. Routing every PacketIn / PortStatus / LLDP event through
      the ordered listener chain may not change a single simulated
      result. The `[bench]` timing footers are the only nondeterministic
-     lines and are stripped before the diff.
+     lines and are stripped before the diff. Goldens exist at 1, 3 and
+     10 trials per cell; the 10-trial table also pins the flow table,
+     path cache and LLI window to the output they produced back when
+     each still had a naive twin to diff against.
 
   2. Stacked determinism -- with TopoGuard + SPHINX + TOPOGUARD+
      stacked on the same chain (`--stacked`), two runs at different
@@ -91,6 +94,7 @@ def main() -> int:
     for golden_name, flags in [
         ("attack_matrix_single_defense.txt", ["--trials", "1"]),
         ("attack_matrix_single_defense_t3.txt", ["--trials", "3"]),
+        ("attack_matrix_single_defense_t10.txt", ["--trials", "10"]),
     ]:
         golden = golden_dir / golden_name
         if not golden.exists():
