@@ -80,7 +80,8 @@ Replay replay(const scenario::LliSeries& series, Policy& policy) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_die({}, argc, argv);
   banner("Ablation", "LLI outlier policy: IQR fence vs mean+k*sigma");
 
   scenario::LliExperimentConfig cfg;

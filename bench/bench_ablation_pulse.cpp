@@ -44,7 +44,8 @@ double reset_rate(sim::Duration hold, int n, std::uint64_t seed) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_die({}, argc, argv);
   banner("Ablation",
          "Flap hold vs. link-integrity pulse window (16±8 ms)");
 

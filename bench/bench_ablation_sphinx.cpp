@@ -68,7 +68,8 @@ Result run(sim::Duration poll, double tau, bool blackhole) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_die({}, argc, argv);
   banner("Ablation", "SPHINX counter checks vs. blackholing fake link");
 
   Table table({"Poll period", "tau", "Transit", "First alert after",

@@ -15,7 +15,8 @@
 using namespace tmg;
 using namespace tmg::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_die({}, argc, argv);
   banner("Ablation", "Probe timeout vs. false-positive rate (RTT N(20,5) ms)");
 
   constexpr double kRttMean = 20.0, kRttSd = 5.0;

@@ -75,7 +75,8 @@ Outcome run(Stack stack, double channel_ms) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_die({}, argc, argv);
   banner("Sec. X", "Passive (TOPOGUARD+) vs. active link verification");
 
   Table table({"Relay channel (one-way, ms)", "TOPOGUARD+ stops it",

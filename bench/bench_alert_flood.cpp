@@ -81,7 +81,8 @@ FloodResult run_flood(std::size_t identities, sim::Duration window) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_die({}, argc, argv);
   banner("Sec. IV-B", "Alert floods: drowning the operator");
 
   Table table({"Spoofed IDs", "Spoof packets", "Migration alerts",

@@ -11,20 +11,19 @@
 // merged in trial-index order, so the table is identical for every
 // --jobs value.
 //
-// Extra flags on top of the shared harness set:
+// Extra flags (attack_matrix_flags()) on top of the harness sets:
 //   --stacked          add a sixth defense column running TopoGuard,
 //                      SPHINX, CMM and LLI simultaneously as stacked
 //                      pipeline listeners (default table is unchanged)
 //   --pipeline-stats   print per-listener dispatch/stop counters per
 //                      defense suite after the matrix
-//   --profile=<name>   run every cell under that controller pipeline
+//   --profile NAME     run every cell under that controller pipeline
 //                      profile (floodlight/pox/opendaylight/onos);
 //                      unknown names exit 2. Announced via a [bench]
 //                      line only, so golden gates stay byte-clean.
 //   --check            attach the runtime invariant checker to every
 //                      trial and fail on any violation (CI smoke)
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <optional>
@@ -45,25 +44,16 @@ using namespace tmg::bench;
 using scenario::DefenseSuite;
 using scenario::LinkAttackKind;
 
-namespace {
-
-// Strict resolution, same contract as parse_trials_or_die: an unknown
-// profile name is a usage error, not a silent default.
-ctrl::ControllerProfile parse_profile_or_die(const std::string& value) {
-  auto profile = ctrl::profile_by_name(value);
-  if (!profile) {
-    std::string names;
-    for (const auto& n : ctrl::profile_cli_names()) names += " " + n;
-    std::fprintf(stderr, "error: unknown --profile '%s' (valid:%s)\n",
-                 value.c_str(), names.c_str());
-    std::exit(2);
-  }
-  return *profile;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  const cli::Args args = cli::parse_or_die(
+      harness_flags({trials_flag(), obs_flags(), attack_matrix_flags()}), argc,
+      argv);
+  const HarnessOptions opts = harness_options(args);
+  const bool stacked = args.has("--stacked");
+  const bool show_pipeline = args.has("--pipeline-stats");
+  const bool check_invariants = args.has("--check");
+  const std::optional<ctrl::ControllerProfile> profile =
+      ctrl::profile_by_name(args.value("--profile"));
   banner("Sec. V-A", "Link fabrication attack/defense matrix");
 
   const LinkAttackKind kinds[] = {
@@ -80,27 +70,10 @@ int main(int argc, char** argv) {
       DefenseSuite::TopoGuardPlus,
   };
 
-  bool stacked = false;
-  bool show_pipeline = false;
-  bool check_invariants = false;
-  std::optional<ctrl::ControllerProfile> profile;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--stacked") stacked = true;
-    if (arg == "--pipeline-stats") show_pipeline = true;
-    if (arg == "--check") check_invariants = true;
-    if (arg.rfind("--profile=", 0) == 0) {
-      profile = parse_profile_or_die(arg.substr(10));
-    } else if (arg == "--profile") {
-      if (i + 1 >= argc) scenario::die_missing_value("--profile");
-      profile = parse_profile_or_die(argv[++i]);
-    }
-  }
   if (stacked) suites.push_back(DefenseSuite::Stacked);
   const std::size_t n_suites = suites.size();
   const std::size_t kCells = 4 * n_suites;
 
-  const HarnessOptions opts = parse_harness_args(argc, argv);
   // Default: 1 trial per cell with the canonical seed 42 (the classic
   // single-run table); --trials 10 = 200-experiment workload.
   const std::size_t trials_per_cell = opts.trial_count(1, 1);

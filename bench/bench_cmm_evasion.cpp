@@ -64,7 +64,8 @@ Outcome run(bool bidirectional, bool with_lli) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_die({}, argc, argv);
   banner("Finding", "Minimal-flap in-band attacker vs. the CMM");
 
   Table table({"Attacker", "Defense", "Flaps", "CMM alerts", "LLI alerts",

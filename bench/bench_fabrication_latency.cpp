@@ -50,7 +50,8 @@ double mean_fabrication_s(const ctrl::ControllerProfile& profile, int runs) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_die({}, argc, argv);
   banner("Table III corollary",
          "Controller profile vs. link-fabrication latency");
 

@@ -14,7 +14,8 @@ using namespace tmg;
 using namespace tmg::bench;
 using namespace tmg::sim::literals;
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_die({}, argc, argv);
   banner("Fig. 10", "The latency of switch internal links");
 
   scenario::LliExperimentConfig cfg;

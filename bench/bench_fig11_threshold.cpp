@@ -13,7 +13,8 @@ using namespace tmg;
 using namespace tmg::bench;
 using namespace tmg::sim::literals;
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_die({}, argc, argv);
   banner("Fig. 11", "Threshold distribution with link latencies");
 
   scenario::LliExperimentConfig cfg;

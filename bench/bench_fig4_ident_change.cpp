@@ -11,7 +11,8 @@
 using namespace tmg;
 using namespace tmg::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_die({}, argc, argv);
   banner("Fig. 4", "Distribution of identity-change (ifconfig) time");
 
   sim::Rng rng{42};

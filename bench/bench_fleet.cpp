@@ -222,9 +222,10 @@ std::string host_table_microbench(std::size_t records) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const HarnessOptions opts =
+      parse_harness_args(argc, argv, {trials_flag(), obs_flags()});
   banner("Fleet scale", "generated fabrics + background load, both attacks");
 
-  const HarnessOptions opts = parse_harness_args(argc, argv);
   const std::size_t per_cell = opts.trial_count(4, 2);
 
   std::vector<Cell> cells;

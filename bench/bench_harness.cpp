@@ -2,74 +2,53 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <optional>
 
+#include "ctrl/profiles.hpp"
 #include "obs/observability.hpp"
-#include "scenario/trial_runner.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace tmg::bench {
 
-namespace {
-
-/// Strict counterpart of the --jobs parsing: a malformed --trials value
-/// must not silently run the bench default (strtoul would turn
-/// '--trials abc' into 0 and '--trials 10x' into 10).
-std::size_t parse_trials_or_die(const char* value) {
-  const std::optional<std::size_t> parsed =
-      scenario::parse_jobs_value(value);
-  if (!parsed) {
-    std::fprintf(stderr,
-                 "error: invalid --trials value '%s' (expected a "
-                 "non-negative integer; 0 = bench default)\n",
-                 value);
-    std::exit(2);
-  }
-  return *parsed;
+cli::Table harness_flags(std::initializer_list<cli::Table> extra) {
+  return cli::join({{"--jobs", cli::Kind::kCount},
+                    {"--quick"},
+                    {"--json", cli::Kind::kValue}},
+                   extra);
 }
 
-}  // namespace
+cli::Table trials_flag() { return {{"--trials", cli::Kind::kCount}}; }
 
-HarnessOptions parse_harness_args(int argc, char** argv) {
+cli::Table obs_flags() {
+  return {{"--obs"},
+          {"--obs-out", cli::Kind::kValue},
+          {"--trace-out", cli::Kind::kValue}};
+}
+
+cli::Table attack_matrix_flags() {
+  return {{"--stacked"},
+          {"--pipeline-stats"},
+          {"--check"},
+          {"--profile", cli::Kind::kChoice, ctrl::profile_cli_names()}};
+}
+
+HarnessOptions harness_options(const cli::Args& args) {
   HarnessOptions opts;
-  opts.jobs = scenario::parse_jobs_arg(argc, argv);
-  // A value-taking flag as the last argument must not be dropped
-  // silently: a lost --json would write no file and still exit 0.
-  const auto value_after = [&](int i) {
-    if (i + 1 >= argc) scenario::die_missing_value(argv[i]);
-    return argv[i + 1];
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      opts.quick = true;
-    } else if (std::strcmp(argv[i], "--obs") == 0) {
-      opts.obs = true;
-    } else if (std::strcmp(argv[i], "--trials") == 0) {
-      opts.trials = parse_trials_or_die(value_after(i));
-    } else if (std::strncmp(argv[i], "--trials=", 9) == 0) {
-      opts.trials = parse_trials_or_die(argv[i] + 9);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      opts.json_path = value_after(i);
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      opts.json_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--obs-out") == 0) {
-      opts.obs_out_path = value_after(i);
-    } else if (std::strncmp(argv[i], "--obs-out=", 10) == 0) {
-      opts.obs_out_path = argv[i] + 10;
-    } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-      opts.trace_out_path = value_after(i);
-    } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-      opts.trace_out_path = argv[i] + 12;
-    }
-  }
+  opts.trials = args.count("--trials");
+  opts.jobs = args.count("--jobs");
+  opts.quick = args.has("--quick");
+  opts.json_path = args.value("--json");
+  opts.obs_out_path = args.value("--obs-out");
+  opts.trace_out_path = args.value("--trace-out");
   // The export flags only make sense with the observability layer
   // attached, so they imply --obs.
-  if (!opts.obs_out_path.empty() || !opts.trace_out_path.empty()) {
-    opts.obs = true;
-  }
+  opts.obs = args.has("--obs") || !opts.obs_out_path.empty() ||
+             !opts.trace_out_path.empty();
   return opts;
+}
+
+HarnessOptions parse_harness_args(int argc, char** argv,
+                                  std::initializer_list<cli::Table> extra) {
+  return harness_options(cli::parse_or_die(harness_flags(extra), argc, argv));
 }
 
 bool write_obs_artifacts(const HarnessOptions& opts, obs::Observability& obs) {

@@ -1,24 +1,10 @@
-// Benchmark harness: shared CLI flags, wall-clock timing, and the
+// Benchmark harness: the harness flag sets, wall-clock timing, and the
 // BENCH.json emitter used by tools/run_bench.py.
 //
-// Every trial-looping bench accepts:
-//   --trials N      trial count (0 = bench default)
-//   --jobs N        worker threads (default: hardware concurrency;
-//                   --jobs 1 = the serial path, no threads)
-//   --quick         shrink the workload for smoke runs
-//   --json PATH     write a one-object JSON result file
-//   --obs           attach the observability layer to a representative
-//                   trial and embed its metrics snapshot under "obs" in
-//                   the JSON result (benches that support it)
-//   --obs-out PATH  also write that metrics snapshot to PATH as a
-//                   standalone JSON file (implies --obs)
-//   --trace-out PATH
-//                   also write the observed trial's trace log to PATH as
-//                   JSONL (implies --obs). tools/train_profile consumes
-//                   these exports to learn behavior profiles.
-//
-// A value-taking flag with no value after it exits 2 with an error
-// naming the flag.
+// A bench parses harness_flags() (--jobs N, --quick, --json PATH) joined
+// with the sets it also honours (cli/flags.hpp): trials_flag() and
+// obs_flags() (--obs, --obs-out PATH, --trace-out PATH; the exports
+// imply --obs). README.md's flag table says which bench takes which.
 //
 // Wall-clock time is host time (std::chrono), which is fine here: it
 // never feeds simulation results, only the perf report. src/ stays under
@@ -26,8 +12,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 
+#include "cli/flags.hpp"
 #include "scenario/trial_runner.hpp"
 
 namespace tmg::obs {
@@ -59,9 +47,22 @@ struct HarnessOptions {
   }
 };
 
-/// Parse the shared flags (unknown arguments are ignored so benches can
-/// layer their own).
-HarnessOptions parse_harness_args(int argc, char** argv);
+/// A harness bench's table: --jobs, --quick and --json, which every
+/// harness bench honours, joined with the `extra` sets it also honours.
+cli::Table harness_flags(std::initializer_list<cli::Table> extra = {});
+cli::Table trials_flag();
+cli::Table obs_flags();
+/// bench_attack_matrix's own: --stacked, --pipeline-stats, --check and
+/// --profile NAME.
+cli::Table attack_matrix_flags();
+
+/// The harness flags of a parsed command line; absent ones keep their
+/// defaults.
+HarnessOptions harness_options(const cli::Args& args);
+
+/// harness_options(cli::parse_or_die(harness_flags(extra), ...)).
+HarnessOptions parse_harness_args(int argc, char** argv,
+                                  std::initializer_list<cli::Table> extra = {});
 
 /// Write the --obs-out / --trace-out artifacts from an observed run:
 /// the final-time metrics snapshot and the trace JSONL export. No-op

@@ -48,7 +48,8 @@ stats::Summary relay_summary(attack::PortAmnesiaAttack::Mode mode,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_die({}, argc, argv);
   banner("Sec. V-A", "LLDP relay latency: out-of-band vs. in-band");
 
   using Mode = attack::PortAmnesiaAttack::Mode;

@@ -62,7 +62,8 @@ Measured measure(const ctrl::ControllerProfile& profile) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_or_die({}, argc, argv);
   banner("Table III", "Link timeout and discovery intervals per controller");
   Table table({"Controller", "Discovery interval (cfg)", "Link timeout (cfg)",
                "Observed emission period", "Dead link removed after"});

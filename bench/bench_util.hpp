@@ -1,9 +1,12 @@
-// Shared helpers for the reproduction benches: banner/table printing.
+// Shared helpers for the reproduction benches: banner/table printing,
+// plus the command-line front end every bench parses its argv with.
 #pragma once
 
 #include <cstdio>
 #include <string>
 #include <vector>
+
+#include "cli/flags.hpp"
 
 namespace tmg::bench {
 

@@ -93,7 +93,7 @@ inline int run_hijack_figure(int argc, char** argv, const char* bench_id,
                              const char* unit, double hist_lo, double hist_hi,
                              const std::function<std::optional<double>(
                                  const scenario::HijackOutcome&)>& metric) {
-  const HarnessOptions opts = parse_harness_args(argc, argv);
+  const HarnessOptions opts = parse_harness_args(argc, argv, {trials_flag()});
   const std::size_t n = opts.trial_count(full_default, 25);
   WallTimer timer;
   const auto series =

@@ -44,9 +44,9 @@ void report(const char* act, const LinkAttackOutcome& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_args = examples::parse_example_args(argc, argv);
+  g_args = examples::parse_example_args(
+      argc, argv, {examples::profile_flag()});
   g_check = g_args.check;
-  examples::warn_modules_unavailable(g_args);
   std::printf("== Port Amnesia: link fabrication that survives TopoGuard ==\n\n");
   std::printf(
       "Two compromised hosts on switches 0x2 and 0x4 relay the\n"

@@ -51,9 +51,9 @@ void report(const char* title, const HijackOutcome& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_args = examples::parse_example_args(argc, argv);
+  g_args = examples::parse_example_args(
+      argc, argv, {examples::profile_flag(), examples::jobs_flag()});
   g_check = g_args.check;
-  examples::warn_modules_unavailable(g_args);
   std::printf("== Port Probing: hijacking a host in transit ==\n\n");
   std::printf(
       "Victim 10.0.0.1 (aa:aa:aa:aa:aa:aa) begins a planned migration\n"
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   const DefenseSuite suites[] = {DefenseSuite::TopoGuard,
                                  DefenseSuite::Sphinx,
                                  DefenseSuite::TopoGuardAndSphinx};
-  TrialRunner runner{{parse_jobs_arg(argc, argv)}};
+  TrialRunner runner{{g_args.jobs}};
   const auto outcomes = runner.map(3, [&](std::size_t i) {
     HijackConfig cfg;
     cfg.seed = 7;

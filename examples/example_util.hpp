@@ -1,41 +1,25 @@
 // Shared helpers for the example programs.
 //
-// Every example parses its command line through parse_example_args, so
-// all of them accept the same flag set:
-//
-//   --check            attach the runtime invariant checker (src/check)
-//                      and print a verification footer. A violation
-//                      means the *simulator* is broken — the examples
-//                      abort rather than print numbers computed from
-//                      corrupted state.
-//   --modules=list     print the controller's message-pipeline chain
-//                      (priority order) and exit codes aside, continue.
-//   --modules=+X,-Y    enable (+) / disable (-) pipeline listeners by
-//                      name before the simulation starts.
-//   --pipeline-stats   print per-listener dispatch counters at the end.
-//   --obs-out=DIR      attach the observability layer and write
-//                      metrics.json / metrics.csv / trace.jsonl /
-//                      trace_chrome.json into DIR at the end.
-//   --trace-out=FILE   attach the observability layer and write the
-//                      span/instant trace (JSONL) to FILE.
-//   --profile=NAME     run under that controller pipeline profile
-//                      (floodlight / pox / opendaylight / onos —
-//                      layout, dispatch discipline, timers, and
-//                      migration policy all follow the profile). An
-//                      unknown name is a usage error: exit 2 with the
-//                      valid names listed, never a silent default.
+// Each example parses its command line with parse_example_args against
+// example_flags(): --check, --pipeline-stats, --obs-out DIR and
+// --trace-out FILE, joined with the sets it also honours: profile_flag()
+// (--profile NAME), modules_flag() (--modules list|+X,-Y) and
+// jobs_flag() (--jobs N). README.md's flag table says which example
+// takes which. A --check violation means the *simulator* is broken, so
+// the examples abort rather than print numbers from corrupted state.
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/invariants.hpp"
+#include "cli/flags.hpp"
 #include "ctrl/controller.hpp"
 #include "ctrl/profiles.hpp"
 #include "obs/observability.hpp"
@@ -47,11 +31,12 @@ struct ExampleArgs {
   bool check = false;
   bool pipeline_stats = false;
   bool list_modules = false;
-  std::vector<std::string> enable_modules;   // --modules=+Name
-  std::vector<std::string> disable_modules;  // --modules=-Name
-  std::string obs_out;    // --obs-out=DIR (empty: disabled)
-  std::string trace_out;  // --trace-out=FILE (empty: disabled)
-  std::optional<ctrl::ControllerProfile> profile;  // --profile=NAME
+  std::vector<std::string> enable_modules;   // --modules +Name
+  std::vector<std::string> disable_modules;  // --modules -Name
+  std::string obs_out;    // --obs-out DIR (empty: disabled)
+  std::string trace_out;  // --trace-out FILE (empty: disabled)
+  std::optional<ctrl::ControllerProfile> profile;  // --profile NAME
+  std::size_t jobs = 0;  // --jobs N (0: hardware default)
 
   /// Either observability flag present?
   [[nodiscard]] bool obs_enabled() const {
@@ -59,65 +44,52 @@ struct ExampleArgs {
   }
 };
 
-/// Strict --profile value resolution (same convention as the bench
-/// harness's parse_jobs_value/parse_trials_or_die pair): the testable
-/// half returns nullopt on an unknown name, the _or_die wrapper turns
-/// that into exit 2 with the valid names listed.
-inline std::optional<ctrl::ControllerProfile> parse_profile_value(
-    const std::string& value) {
-  return ctrl::profile_by_name(value);
+/// An example's table: --check, --pipeline-stats, --obs-out and
+/// --trace-out, which every example honours, joined with `extra`.
+inline cli::Table example_flags(std::initializer_list<cli::Table> extra = {}) {
+  return cli::join({{"--check"},
+                    {"--pipeline-stats"},
+                    {"--obs-out", cli::Kind::kValue},
+                    {"--trace-out", cli::Kind::kValue}},
+                   extra);
 }
 
-inline ctrl::ControllerProfile parse_profile_or_die(
-    const std::string& value) {
-  auto profile = parse_profile_value(value);
-  if (!profile) {
-    std::string names;
-    for (const auto& n : ctrl::profile_cli_names()) names += " " + n;
-    std::fprintf(stderr, "error: unknown --profile '%s' (valid:%s)\n",
-                 value.c_str(), names.c_str());
-    std::exit(2);
-  }
-  return *profile;
+inline cli::Table profile_flag() {
+  return {{"--profile", cli::Kind::kChoice, ctrl::profile_cli_names()}};
 }
 
-/// Parse the shared example flags. Unknown arguments are ignored so
-/// individual examples can layer their own.
-inline ExampleArgs parse_example_args(int argc, char** argv) {
+inline cli::Table modules_flag() {
+  return {{"--modules", cli::Kind::kValue}};
+}
+
+inline cli::Table jobs_flag() { return {{"--jobs", cli::Kind::kCount}}; }
+
+/// Parse the command line against example_flags(extra), exiting 2 on
+/// any other flag, and fill the example flags it set.
+inline ExampleArgs parse_example_args(
+    int argc, char** argv, std::initializer_list<cli::Table> extra = {}) {
+  const cli::Args parsed = cli::parse_or_die(example_flags(extra), argc, argv);
   ExampleArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--check") == 0) {
-      args.check = true;
-    } else if (std::strcmp(arg, "--pipeline-stats") == 0) {
-      args.pipeline_stats = true;
-    } else if (std::strncmp(arg, "--obs-out=", 10) == 0) {
-      args.obs_out = arg + 10;
-    } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      args.trace_out = arg + 12;
-    } else if (std::strncmp(arg, "--profile=", 10) == 0) {
-      args.profile = parse_profile_or_die(arg + 10);
-    } else if (std::strncmp(arg, "--modules=", 10) == 0) {
-      // Comma-separated list of "list", "+Name" or "-Name" tokens.
-      std::string rest = arg + 10;
-      while (!rest.empty()) {
-        const std::size_t comma = rest.find(',');
-        std::string token = rest.substr(0, comma);
-        rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
-        if (token.empty()) continue;
-        if (token == "list") {
-          args.list_modules = true;
-        } else if (token[0] == '+') {
-          args.enable_modules.push_back(token.substr(1));
-        } else if (token[0] == '-') {
-          args.disable_modules.push_back(token.substr(1));
-        } else {
-          std::fprintf(stderr,
-                       "warning: --modules token '%s' is not 'list', "
-                       "'+name' or '-name'; ignored\n",
-                       token.c_str());
-        }
-      }
+  args.check = parsed.has("--check");
+  args.pipeline_stats = parsed.has("--pipeline-stats");
+  args.obs_out = parsed.value("--obs-out");
+  args.trace_out = parsed.value("--trace-out");
+  args.profile = ctrl::profile_by_name(parsed.value("--profile"));
+  args.jobs = parsed.count("--jobs");
+  // Comma-separated list of "list", "+Name" or "-Name" tokens.
+  std::istringstream modules{parsed.value("--modules")};
+  for (std::string token; std::getline(modules, token, ',');) {
+    if (token == "list") {
+      args.list_modules = true;
+    } else if (token.starts_with('+')) {
+      args.enable_modules.push_back(token.substr(1));
+    } else if (token.starts_with('-')) {
+      args.disable_modules.push_back(token.substr(1));
+    } else if (!token.empty()) {
+      std::fprintf(stderr,
+                   "warning: --modules token '%s' is not 'list', "
+                   "'+name' or '-name'; ignored\n",
+                   token.c_str());
     }
   }
   return args;
@@ -129,13 +101,13 @@ inline void apply_check_flag(scenario::TestbedOptions& opts,
   if (args.check) opts.check_invariants = true;
 }
 
-/// Apply `--profile=` to testbed options built by an example.
+/// Apply `--profile` to testbed options built by an example.
 inline void apply_profile_flag(scenario::TestbedOptions& opts,
                                const ExampleArgs& args) {
   if (args.profile) opts.controller.profile = *args.profile;
 }
 
-/// Apply `--modules=` to a controller whose defenses are installed:
+/// Apply `--modules` to a controller whose defenses are installed:
 /// print the chain for "list", then flip the requested listeners.
 inline void apply_modules(ctrl::Controller& ctrl, const ExampleArgs& args) {
   if (args.list_modules) {
@@ -179,17 +151,6 @@ inline void print_pipeline_stats(
 inline void print_pipeline_stats(const ctrl::Controller& ctrl,
                                  const ExampleArgs& args) {
   print_pipeline_stats(ctrl.pipeline_stats(), args);
-}
-
-/// Examples that delegate to the experiment drivers never own the
-/// controller, so `--modules=` has nothing to act on there.
-inline void warn_modules_unavailable(const ExampleArgs& args) {
-  if (args.list_modules || !args.enable_modules.empty() ||
-      !args.disable_modules.empty()) {
-    std::fprintf(stderr,
-                 "warning: --modules is ignored here: the experiment "
-                 "driver owns the controller\n");
-  }
 }
 
 /// Verification footer for a testbed the example built itself. Runs the

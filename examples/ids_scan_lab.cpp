@@ -14,12 +14,12 @@ using namespace tmg::sim::literals;
 using attack::ProbeType;
 
 int main(int argc, char** argv) {
-  const examples::ExampleArgs args = examples::parse_example_args(argc, argv);
+  const examples::ExampleArgs args = examples::parse_example_args(
+      argc, argv, {examples::jobs_flag()});
   const bool check = args.check;
-  examples::warn_modules_unavailable(args);
   // --jobs N fans the independent measurements below across N worker
   // threads; output is identical for every N (see DESIGN.md §7).
-  scenario::TrialRunner runner{{scenario::parse_jobs_arg(argc, argv)}};
+  scenario::TrialRunner runner{{args.jobs}};
   std::printf("== Scan stealth lab ==\n\n");
   std::printf(
       "The port-probing attacker must poll the victim frequently enough\n"

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "../examples/example_util.hpp"
 #include "ctrl/host_tracker.hpp"
 #include "ctrl/profiles.hpp"
 #include "scenario/experiments.hpp"
@@ -63,16 +62,6 @@ TEST(ProfileNames, CliNamesMatchAllProfilesOrder) {
     ASSERT_TRUE(p.has_value()) << names[i];
     EXPECT_EQ(p->name, profiles[i].name) << names[i];
   }
-}
-
-TEST(ProfileNames, ExampleParseProfileValue) {
-  // The examples' testable half of --profile=NAME parsing (the _or_die
-  // wrapper adds exit 2, same convention as the bench harness).
-  const auto ok = examples::parse_profile_value("onos");
-  ASSERT_TRUE(ok.has_value());
-  EXPECT_EQ(ok->name, "ONOS");
-  EXPECT_FALSE(examples::parse_profile_value("neutron").has_value());
-  EXPECT_FALSE(examples::parse_profile_value("").has_value());
 }
 
 // ---------------- Layout plumbing ----------------

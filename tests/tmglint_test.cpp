@@ -162,6 +162,16 @@ TEST_F(DeterminismFixtures, CacheCoherencePositiveAndNegative) {
             0);  // epoch_seen_ ties the cache to the graph's epoch
 }
 
+TEST_F(DeterminismFixtures, ProcessInputPositiveAndNegative) {
+  // One finding per token: argc and argv twice each, getenv and main.
+  EXPECT_EQ(
+      count_of(findings(), "src/sim/process_input_bad.cpp", "process-input"),
+      6);
+  EXPECT_EQ(
+      count_of(findings(), "src/sim/process_input_good.cpp", "process-input"),
+      0);  // prose, a member getenv, argv_count, domain()
+}
+
 TEST_F(DeterminismFixtures, NoFindingsOutsideTheBadFixtures) {
   static const std::set<std::string> kExpectedDirty = {
       "src/sim/wallclock_bad.cpp",   "src/obs/hard_wallclock.cpp",
@@ -169,6 +179,7 @@ TEST_F(DeterminismFixtures, NoFindingsOutsideTheBadFixtures) {
       "src/net/flow_table_bad.cpp",  "src/sim/ptrkey_bad.hpp",
       "src/net/threading_bad.cpp",   "src/scenario/shared_rng_bad.hpp",
       "src/ctrl/bypass_bad.cpp",     "src/topo/route_cache_bad.hpp",
+      "src/sim/process_input_bad.cpp",
   };
   for (const auto& f : findings()) {
     EXPECT_TRUE(kExpectedDirty.count(f.file) != 0)

@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_harness.hpp"
 #include "net/packet.hpp"
 #include "scenario/experiments.hpp"
 #include "scenario/trial_arena.hpp"
@@ -382,75 +381,6 @@ TEST(TrialRunnerTest, DisablingInvariantCheckerIsResultNeutral) {
   a.invariant_sweeps = b.invariant_sweeps = 0;
   a.invariant_violations = b.invariant_violations = 0;
   EXPECT_EQ(serialize(a), serialize(b));
-}
-
-// ---------------------------------------------------------------------
-// parse_jobs_value / parse_jobs_arg (satellite: malformed --jobs must
-// be rejected, not silently treated as the hardware default)
-// ---------------------------------------------------------------------
-
-TEST(ParseJobsTest, AcceptsPlainNonNegativeIntegers) {
-  EXPECT_EQ(parse_jobs_value("0"), std::size_t{0});
-  EXPECT_EQ(parse_jobs_value("1"), std::size_t{1});
-  EXPECT_EQ(parse_jobs_value("8"), std::size_t{8});
-  EXPECT_EQ(parse_jobs_value("64"), std::size_t{64});
-  EXPECT_EQ(parse_jobs_value("007"), std::size_t{7});
-}
-
-TEST(ParseJobsTest, RejectsMalformedValues) {
-  EXPECT_FALSE(parse_jobs_value(nullptr).has_value());
-  EXPECT_FALSE(parse_jobs_value("").has_value());
-  EXPECT_FALSE(parse_jobs_value("abc").has_value());
-  EXPECT_FALSE(parse_jobs_value("-1").has_value());
-  EXPECT_FALSE(parse_jobs_value("+4").has_value());
-  EXPECT_FALSE(parse_jobs_value("4x").has_value());
-  EXPECT_FALSE(parse_jobs_value("4 ").has_value());
-  EXPECT_FALSE(parse_jobs_value(" 4").has_value());
-  EXPECT_FALSE(parse_jobs_value("1e3").has_value());
-  EXPECT_FALSE(parse_jobs_value("0x10").has_value());
-  // 2^64 overflows: must be rejected, not wrapped.
-  EXPECT_FALSE(parse_jobs_value("18446744073709551616").has_value());
-}
-
-TEST(ParseJobsTest, ParsesBothFlagSpellings) {
-  const char* eq_form[] = {"bench", "--jobs=8"};
-  EXPECT_EQ(parse_jobs_arg(2, const_cast<char**>(eq_form)), 8u);
-  const char* sep_form[] = {"bench", "--jobs", "3"};
-  EXPECT_EQ(parse_jobs_arg(3, const_cast<char**>(sep_form)), 3u);
-  const char* absent[] = {"bench", "--trials", "10"};
-  EXPECT_EQ(parse_jobs_arg(3, const_cast<char**>(absent)), 0u);
-}
-
-TEST(ParseJobsTest, TrailingJobsFlagExitsNamingIt) {
-  const char* argv[] = {"bench", "--trials", "1", "--jobs"};
-  EXPECT_EXIT(parse_jobs_arg(4, const_cast<char**>(argv)),
-              ::testing::ExitedWithCode(2), "--jobs expects a value");
-}
-
-TEST(ParseHarnessArgsTest, TrailingValueFlagExitsNamingIt) {
-  // A value-taking flag as the last argument must fail loudly: a
-  // dropped --json would write no file while the bench exits 0.
-  for (const char* flag :
-       {"--json", "--trials", "--jobs", "--obs-out", "--trace-out"}) {
-    const char* argv[] = {"bench", "--quick", flag};
-    EXPECT_EXIT(bench::parse_harness_args(3, const_cast<char**>(argv)),
-                ::testing::ExitedWithCode(2),
-                std::string{flag} + " expects a value")
-        << flag;
-  }
-}
-
-TEST(ParseHarnessArgsTest, ParsesValueFlagsInBothSpellings) {
-  const char* argv[] = {"bench",           "--trials",  "7",
-                        "--json=out.json", "--obs-out", "m.json",
-                        "--trace-out=t.jsonl"};
-  const bench::HarnessOptions opts =
-      bench::parse_harness_args(7, const_cast<char**>(argv));
-  EXPECT_EQ(opts.trials, 7u);
-  EXPECT_EQ(opts.json_path, "out.json");
-  EXPECT_EQ(opts.obs_out_path, "m.json");
-  EXPECT_EQ(opts.trace_out_path, "t.jsonl");
-  EXPECT_TRUE(opts.obs);  // the export flags imply --obs
 }
 
 TEST(TrialRunnerTest, ParallelTrialsActuallyRunOnPoolThreads) {

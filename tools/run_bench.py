@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Run the TopoMirage bench suite and aggregate a single BENCH.json.
 
-Each trial-looping bench binary under build/bench accepts the shared
-harness flags (bench/bench_harness.hpp):
+Each trial-looping bench binary under build/bench accepts the harness
+flags (bench/bench_harness.hpp); the suite run passes only these three,
+which every one of them honours:
 
-    --trials N    trials (meaning is bench-specific: per cell / per row)
     --jobs N      worker threads (0/default = hardware concurrency)
     --quick       smaller CI-friendly trial counts
     --json PATH   write a one-object JSON result
@@ -66,9 +66,6 @@ REGRESSION_FACTOR = 1.10
 
 # Benches that implement the harness flags. Order is the report order.
 BENCHES = [
-    "bench_event_loop",
-    "bench_routing",
-    "bench_flow_table",
     "bench_table1_probes",
     "bench_scan_detection",
     "bench_fig5_iface_up",

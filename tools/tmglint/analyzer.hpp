@@ -2,9 +2,10 @@
 //
 // Four passes over a lexed SourceTree (DESIGN.md §11):
 //
-//   determinism  — the nine reproducibility bans (wall clock, libc
-//                  rand, shared Rngs, threading, ...) on the token
-//                  stream, so strings and comments never trigger them.
+//   determinism  — the ten reproducibility bans (wall clock, libc
+//                  rand, shared Rngs, threading, process input, ...)
+//                  on the token stream, so strings and comments never
+//                  trigger them.
 //   lifetime     — posted-callback lifetime: lambdas handed to
 //                  EventLoop::post_at/post_after that capture stack
 //                  locals by reference, or `this` through a loop the

@@ -1,11 +1,11 @@
-// Determinism rules: the nine bans that keep every simulated run
+// Determinism rules: the ten bans that keep every simulated run
 // bit-reproducible (wall clocks, libc rand, random_device, unordered
 // iteration, pointer keys, threading, shared Rngs, registry bypass,
-// cache coherence), checked on the token stream. A banned identifier
-// inside a comment, string literal, or raw string can neither trigger
-// nor mask a finding. This is the only determinism engine; ctest runs
-// it through `lint.tmglint`, and tests/tmglint_test.cpp pins every
-// rule both ways.
+// cache coherence, process input), checked on the token stream. A
+// banned identifier inside a comment, string literal, or raw string can
+// neither trigger nor mask a finding. This is the only determinism
+// engine; ctest runs it through `lint.tmglint`, and
+// tests/tmglint_test.cpp pins every rule both ways.
 #include <array>
 #include <set>
 #include <string>
@@ -300,6 +300,27 @@ void rule_cache_coherence(const SourceFile& f, const SourceFile* sibling,
   }
 }
 
+// rule process-input: the simulator reads no process input. Command
+// lines are parsed at the binary edge (cli/flags.hpp), and an
+// environment variable would make a run depend on the shell that
+// started it. Flags any `argc`/`argv`, a getenv/secure_getenv call and
+// a definition of `main`.
+void rule_process_input(const SourceFile& f, std::vector<RawFinding>& out) {
+  const auto& t = f.tokens;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t[i].kind != TokKind::Ident) continue;
+    const std::string& s = t[i].text;
+    const bool call = i + 1 < t.size() && is_punct(t[i + 1], "(");
+    const bool member =
+        i > 0 && (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->"));
+    if (s == "argc" || s == "argv" ||
+        ((s == "getenv" || s == "secure_getenv") && call && !member) ||
+        (s == "main" && call && i > 0 && is_ident(t[i - 1], "int"))) {
+      out.push_back({"process-input", t[i].line});
+    }
+  }
+}
+
 }  // namespace
 
 void run_determinism_pass(const SourceTree& tree,
@@ -317,6 +338,7 @@ void run_determinism_pass(const SourceTree& tree,
     rule_registry_bypass(f, raw);
     rule_unordered_iter(f, sibling, raw);
     rule_cache_coherence(f, sibling, raw);
+    rule_process_input(f, raw);
 
     const bool hard_wallclock = f.in_module("obs");
     for (const auto& r : raw) {
