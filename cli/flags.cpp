@@ -90,11 +90,13 @@ ParseResult parse(const Table& table, int argc, const char* const* argv) {
 
 Args parse_or_die(const Table& table, int argc, const char* const* argv) {
   ParseResult r = parse(table, argc, argv);
-  if (!r.ok()) {
-    std::fprintf(stderr, "error: %s\n", r.error.c_str());
-    std::exit(2);
-  }
+  if (!r.ok()) die(r.error);
   return std::move(r.args);
+}
+
+void die(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  std::exit(2);
 }
 
 std::optional<std::size_t> parse_jobs_value(const char* text) {

@@ -4,7 +4,7 @@
 // Value flags take `--f V` or `--f=V`; a value is never empty and a
 // split value never starts with `--`. Unknown flags, stray positionals,
 // repeated flags and switches given a value are errors. parse() is pure;
-// parse_or_die() is the only place that exits (status 2). Standard
+// die() is the only place that exits (status 2). Standard
 // library only: table data such as the profile names is passed in.
 #pragma once
 
@@ -60,8 +60,12 @@ struct ParseResult {
 [[nodiscard]] ParseResult parse(const Table& table, int argc,
                                 const char* const* argv);
 
-/// parse(), turning a failure into "error: ..." on stderr and exit 2.
+/// parse(), turning a failure into die(error).
 Args parse_or_die(const Table& table, int argc, const char* const* argv);
+
+/// "error: <message>" on stderr, then exit 2: a rejected command line,
+/// including a flag value the binary finds invalid after parsing.
+[[noreturn]] void die(const std::string& message);
 
 /// A count: digits only (no sign, space or suffix), in range of
 /// std::size_t; nullopt otherwise, including for nullptr and "".

@@ -86,10 +86,8 @@ inline ExampleArgs parse_example_args(
     } else if (token.starts_with('-')) {
       args.disable_modules.push_back(token.substr(1));
     } else if (!token.empty()) {
-      std::fprintf(stderr,
-                   "warning: --modules token '%s' is not 'list', "
-                   "'+name' or '-name'; ignored\n",
-                   token.c_str());
+      cli::die("--modules token '" + token +
+               "' is not 'list', '+name' or '-name'");
     }
   }
   return args;
@@ -108,7 +106,8 @@ inline void apply_profile_flag(scenario::TestbedOptions& opts,
 }
 
 /// Apply `--modules` to a controller whose defenses are installed:
-/// print the chain for "list", then flip the requested listeners.
+/// print the chain for "list", then flip the requested listeners. A name
+/// no listener on the assembled chain carries exits 2.
 inline void apply_modules(ctrl::Controller& ctrl, const ExampleArgs& args) {
   if (args.list_modules) {
     std::printf("\n[--modules] pipeline chain (priority order):\n");
@@ -117,16 +116,12 @@ inline void apply_modules(ctrl::Controller& ctrl, const ExampleArgs& args) {
                   s.enabled ? "enabled" : "disabled");
     }
   }
-  for (const std::string& name : args.enable_modules) {
-    if (!ctrl.pipeline().set_enabled(name, true)) {
-      std::fprintf(stderr, "warning: --modules: no listener named '%s'\n",
-                   name.c_str());
-    }
-  }
-  for (const std::string& name : args.disable_modules) {
-    if (!ctrl.pipeline().set_enabled(name, false)) {
-      std::fprintf(stderr, "warning: --modules: no listener named '%s'\n",
-                   name.c_str());
+  for (const bool enable : {true, false}) {
+    for (const std::string& name :
+         enable ? args.enable_modules : args.disable_modules) {
+      if (!ctrl.pipeline().set_enabled(name, enable)) {
+        cli::die("--modules: no listener named '" + name + "'");
+      }
     }
   }
 }

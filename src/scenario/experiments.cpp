@@ -1,11 +1,13 @@
 #include "scenario/experiments.hpp"
 
 #include <memory>
+#include <utility>
 
 #include "attack/alert_flood.hpp"
 #include "attack/flow_rule_relay.hpp"
 #include "attack/link_fabrication.hpp"
 #include "attack/port_amnesia.hpp"
+#include "check/assert.hpp"
 #include "ctrl/host_tracker.hpp"
 #include "ids/ids.hpp"
 #include "obs/observability.hpp"
@@ -111,208 +113,257 @@ DefenseHandles install_suite(ctrl::Controller& ctrl, DefenseSuite suite,
 }
 
 // ---------------------------------------------------------------------
-// Link fabrication / port amnesia
+// Shared script steps
 // ---------------------------------------------------------------------
 
 namespace {
 
-/// Install the anomaly IDS into the controller's always-present
-/// "anomaly-ids" chain slot, in Train mode (trainer set) or Detect mode
-/// (profile set). Returns nullptr when the config asked for neither.
-/// The caller owns the service and must detach it (set_anomaly_detector
-/// (nullptr)) before it is destroyed.
-std::unique_ptr<ids::ProfileAnomalyService> install_anomaly_ids(
-    Testbed& tb, const ids::BehaviorProfile* profile,
-    ids::ProfileTrainer* trainer, bool veto, obs::Observability* obs) {
-  if (profile == nullptr && trainer == nullptr) return nullptr;
-  ids::AnomalyConfig cfg;
-  cfg.veto = veto;
-  auto svc = std::make_unique<ids::ProfileAnomalyService>(tb.loop(), cfg);
-  if (trainer != nullptr) {
-    svc->set_trainer(trainer);
-    trainer->begin_trial();  // the driver's harvest calls end_trial()
-  } else {
-    svc->set_profile(profile);
-  }
-  svc->set_alert_bus(&tb.controller().alerts());
-  svc->set_observability(obs);
-  tb.controller().set_anomaly_detector(svc.get());
-  return svc;
-}
-
-}  // namespace
-
-LinkAttackOutcome run_link_attack(const LinkAttackConfig& config) {
-  TestbedOptions opts = suite_options(config.suite, config.seed);
-  // The Fig. 9 testbed is the paper's evaluation network for all link
-  // attacks; keep its latency profile regardless of suite.
-  Fig9Testbed f = make_fig9_testbed([&] {
-    TestbedOptions o = fig9_options(config.seed);
-    o.controller.authenticate_lldp = opts.controller.authenticate_lldp;
-    o.controller.lldp_timestamps = opts.controller.lldp_timestamps;
-    if (config.profile) o.controller.profile = *config.profile;
-    // Keep start() from auto-attaching the audit battery when the
-    // caller opted out (benches); see the explicit enable below.
-    o.check_invariants = config.check_invariants;
-    if (config.arena != nullptr) o.loop = &config.arena->acquire();
-    return o;
-  }());
-  const DefenseHandles handles = install_suite(f.tb->controller(), config.suite);
+/// Install the suite, the invariant checker and the observability layer
+/// on `tb`, then the anomaly IDS into the controller's always-present
+/// "anomaly-ids" chain slot: Train mode (trainer set), Detect mode
+/// (profile set), or none (nullptr returned). The caller owns the
+/// service; detach_anomaly_ids() unhooks it before it is destroyed.
+template <typename Config>
+std::unique_ptr<ids::ProfileAnomalyService> arm(
+    Testbed& tb, const Config& config,
+    const defense::SecureBindingConfig& enrollment) {
+  const DefenseHandles handles =
+      install_suite(tb.controller(), config.suite, &enrollment);
   // Machine-checked self-consistency for every experiment run: attacks
   // may poison the controller's *view*, but never the simulator's state.
   // Benches opt out — the audits are read-only, so every simulated
   // number is identical either way; only wall-clock changes.
-  if (config.check_invariants) {
-    f.tb->enable_invariant_checker(handles.topoguard);
+  if (config.check_invariants) tb.enable_invariant_checker(handles.topoguard);
+  if (config.obs != nullptr) tb.set_observability(config.obs);
+  if (config.anomaly_profile == nullptr && config.anomaly_trainer == nullptr) {
+    return nullptr;
   }
-  if (config.obs != nullptr) f.tb->set_observability(config.obs);
+  ids::AnomalyConfig cfg;
+  cfg.veto = config.anomaly_veto;
+  auto svc = std::make_unique<ids::ProfileAnomalyService>(tb.loop(), cfg);
+  if (config.anomaly_trainer != nullptr) {
+    svc->set_trainer(config.anomaly_trainer);
+    config.anomaly_trainer->begin_trial();  // ended by detach_anomaly_ids
+  } else {
+    svc->set_profile(config.anomaly_profile);
+  }
+  svc->set_alert_bus(&tb.controller().alerts());
+  svc->set_observability(config.obs);
+  tb.controller().set_anomaly_detector(svc.get());
+  return svc;
+}
+
+void detach_anomaly_ids(Testbed& tb, ids::ProfileTrainer* trainer,
+                        const ids::ProfileAnomalyService* svc,
+                        ids::AnomalyCounters& counters) {
+  if (svc == nullptr) return;
+  counters = svc->counters();
+  if (trainer != nullptr) trainer->end_trial();
+  tb.controller().set_anomaly_detector(nullptr);
+}
+
+/// The harvest every driver ends with: the final invariant sweep, the
+/// event count, the pipeline counters when asked, then the final module
+/// counters mirrored into the registry and the collectors detached
+/// before the testbed (which they borrow) is destroyed.
+void harvest(Testbed& tb, bool pipeline_stats, obs::Observability* obs,
+             RunCounters& out) {
+  if (check::InvariantChecker* checker = tb.invariant_checker()) {
+    checker->final_check();
+    out.invariant_sweeps = checker->checks_run();
+    out.invariant_violations = checker->violation_count();
+  }
+  out.events_executed = tb.loop().events_executed();
+  if (pipeline_stats) out.pipeline_stats = tb.controller().pipeline().stats();
+  if (obs != nullptr) obs->finalize(tb.loop().now());
+}
+
+/// A launched link attack: the one member its kind constructs.
+struct LinkAttack {
+  std::unique_ptr<attack::ClassicLinkFabrication> classic;
+  std::unique_ptr<attack::PortAmnesiaAttack> amnesia;
+  std::unique_ptr<attack::FlowRuleRelay> flowrule;
+
+  /// Relay and MITM counters into `out`.
+  void report(const AttackSite& site, LinkAttackOutcome& out) const {
+    if (classic) {
+      out.lldp_relayed = classic->lldp_relayed();
+      out.transit_bridged = classic->transit_bridged();
+    }
+    if (amnesia) {
+      out.lldp_relayed = amnesia->lldp_relayed();
+      out.transit_bridged = amnesia->transit_bridged();
+      out.flaps = amnesia->flaps();
+    }
+    if (flowrule) {
+      // The injected rules' own counters say how many LLDP frames the
+      // switch spliced past the controller.
+      for (const auto& e :
+           site.tb->get_switch(site.relay_dpid).flow_table().entries()) {
+        if (e.cookie == site.relay.cookie) out.lldp_relayed += e.packet_count;
+      }
+    }
+    out.mitm_traffic = out.transit_bridged > 0;
+  }
+};
+
+LinkAttack launch(LinkAttackKind kind, const AttackSite& site, bool blackhole,
+                  obs::Observability* obs) {
+  LinkAttack attack;
+  sim::EventLoop& loop = site.tb->loop();
+  switch (kind) {
+    case LinkAttackKind::ClassicRelay:
+      attack.classic = std::make_unique<attack::ClassicLinkFabrication>(
+          loop, *site.attacker, *site.attacker_b, *site.oob);
+      attack.classic->start();
+      break;
+    case LinkAttackKind::OobAmnesia:
+    case LinkAttackKind::OobAmnesiaNaive:
+    case LinkAttackKind::InBandAmnesia: {
+      attack::PortAmnesiaAttack::Config ac;
+      ac.mode = kind == LinkAttackKind::InBandAmnesia
+                    ? attack::PortAmnesiaAttack::Mode::InBand
+                    : attack::PortAmnesiaAttack::Mode::OutOfBand;
+      ac.preposition_flap = kind == LinkAttackKind::OobAmnesia;
+      ac.blackhole_transit = blackhole;
+      ac.bridge_transit = !blackhole;
+      attack.amnesia = std::make_unique<attack::PortAmnesiaAttack>(
+          loop, *site.attacker, *site.attacker_b,
+          ac.mode == attack::PortAmnesiaAttack::Mode::OutOfBand ? site.oob
+                                                                : nullptr,
+          ac);
+      attack.amnesia->set_observability(obs);
+      attack.amnesia->start();
+      break;
+    }
+    case LinkAttackKind::FlowRuleRelay:
+      attack.flowrule = std::make_unique<attack::FlowRuleRelay>(
+          site.tb->control_channel(site.relay_dpid), site.relay);
+      attack.flowrule->start();
+      break;
+  }
+  return attack;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------
+// Link fabrication / port amnesia
+// ---------------------------------------------------------------------
+
+LinkAttackOutcome link_attack_script(const LinkAttackConfig& config,
+                                     const AttackSite& site) {
+  // Fixed phases: the paper's quiet tail before the attack, and two
+  // LLDP rounds for the fabricated link to register.
+  const Duration quiet =
+      site.pause_session ? Duration::seconds(10) : Duration::zero();
+  const Duration registration = Duration::seconds(32);
+  TMG_ASSERT(config.benign_window >= quiet,
+             "link attack: benign window shorter than the quiet tail");
+  TMG_ASSERT(config.attack_window >= registration,
+             "link attack: window must cover two LLDP rounds");
+  Testbed& tb = *site.tb;
+  ctrl::Controller& ctrl = tb.controller();
+  sim::EventLoop& loop = tb.loop();
   const std::unique_ptr<ids::ProfileAnomalyService> anomaly =
-      install_anomaly_ids(*f.tb, config.anomaly_profile,
-                          config.anomaly_trainer, config.anomaly_veto,
-                          config.obs);
+      arm(tb, config, site.enrollment);
 
   LinkAttackOutcome out;
-  ctrl::Controller& ctrl = f.tb->controller();
-  sim::EventLoop& loop = f.tb->loop();
 
   // Poll the fabricated link while the sim runs. The flow-rule relay
-  // fabricates a switch-to-switch link between the relay's neighbors
-  // (0x3's rules splice 0x2 port 10 to 0x4 port 11); the host-based
-  // relays fabricate the attacker-to-attacker access link.
-  const auto fabricated_present = [&]() {
-    if (config.kind == LinkAttackKind::FlowRuleRelay) {
-      return ctrl.topology().has_link(of::Location{0x2, 10},
-                                      of::Location{0x4, 11});
-    }
-    return f.fabricated_link_present();
+  // fabricates a link between its spliced ports' far ends; the
+  // host-based relays fabricate the attacker-to-attacker access link.
+  const topo::Link fabricated =
+      config.kind == LinkAttackKind::FlowRuleRelay
+          ? site.relay_link
+          : topo::Link{site.attacker_loc, site.attacker_b_loc};
+  const auto fabricated_present = [&] {
+    return ctrl.topology().has_link(fabricated.a, fabricated.b);
   };
   const std::function<void()> poll = [&]() {
     if (fabricated_present()) out.link_registered = true;
-    loop.post_after(Duration::millis(500),
-                        [&poll] { poll(); });
+    loop.post_after(Duration::millis(500), [&poll] { poll(); });
   };
 
-  f.tb->start(Duration::seconds(2));
-  fig9_warm_hosts(f);
+  tb.start(Duration::seconds(2));
+  site.warm_up();
   loop.post_after(Duration::zero(), [&poll] { poll(); });
+  if (site.start_background) site.start_background();
 
-  // Benign phase: periodic h1 <-> h2 traffic until shortly before the
-  // attack (then pause so the flow rules idle out and the post-attack
-  // traffic re-routes over whatever topology exists).
-  bool benign_traffic = true;
-  const std::function<void()> ping_loop = [&]() {
-    if (benign_traffic) {
-      f.h1->send_ping(f.h2->mac(), f.h2->ip(), 0x1111,
-                      static_cast<std::uint16_t>(loop.now().count_nanos()));
-      // Bulk payload alongside the ping: flow-counter checks (SPHINX)
-      // need real volume to distinguish blackholing from jitter.
-      f.h1->send_raw(f.h2->mac(), f.h2->ip(), "bulk", 1400);
+  // A benign peer -> victim session whose traffic the fabricated link
+  // could attract (the MITM observable). The bulk payload alongside the
+  // ping gives flow-counter checks (SPHINX) real volume to distinguish
+  // blackholing from jitter.
+  const net::MacAddress victim_mac = site.victim->mac();
+  const net::Ipv4Address victim_ip = site.victim->ip();
+  bool session_on = true;
+  const std::function<void()> session = [&]() {
+    if (session_on) {
+      site.peer->send_ping(
+          victim_mac, victim_ip, 0x1111,
+          static_cast<std::uint16_t>(loop.now().count_nanos()));
+      site.peer->send_raw(victim_mac, victim_ip, "bulk", 1400);
     }
-    loop.post_after(Duration::millis(500), [&ping_loop] { ping_loop(); });
+    loop.post_after(Duration::millis(500), [&session] { session(); });
   };
-  loop.post_after(Duration::zero(), [&ping_loop] { ping_loop(); });
+  loop.post_after(Duration::zero(), [&session] { session(); });
 
-  f.tb->run_for(config.benign_window - Duration::seconds(10));
-  benign_traffic = false;
-  f.tb->run_for(Duration::seconds(10));
+  tb.run_for(config.benign_window - quiet);
+  session_on = !site.pause_session;
+  tb.run_for(quiet);
   out.alerts_before_attack = ctrl.alerts().count();
   if (config.obs != nullptr) {
     config.obs->trace().instant(loop.now(), "scenario", "attack-start",
                                 to_string(config.kind));
   }
 
-  // Launch the attack (skipped entirely on clean-baseline runs).
-  std::unique_ptr<attack::ClassicLinkFabrication> classic;
-  std::unique_ptr<attack::PortAmnesiaAttack> amnesia;
-  std::unique_ptr<attack::FlowRuleRelay> flowrule;
-  switch (config.kind) {
-    case LinkAttackKind::ClassicRelay: {
-      if (!config.attack_enabled) break;
-      attack::ClassicLinkFabrication::Config cc;
-      classic = std::make_unique<attack::ClassicLinkFabrication>(
-          loop, *f.attacker_a, *f.attacker_b, *f.oob, cc);
-      classic->start();
-      break;
-    }
-    case LinkAttackKind::OobAmnesia:
-    case LinkAttackKind::OobAmnesiaNaive:
-    case LinkAttackKind::InBandAmnesia: {
-      if (!config.attack_enabled) break;
-      attack::PortAmnesiaAttack::Config ac;
-      ac.mode = config.kind == LinkAttackKind::InBandAmnesia
-                    ? attack::PortAmnesiaAttack::Mode::InBand
-                    : attack::PortAmnesiaAttack::Mode::OutOfBand;
-      ac.preposition_flap = config.kind == LinkAttackKind::OobAmnesia;
-      ac.blackhole_transit = config.blackhole;
-      ac.bridge_transit = !config.blackhole;
-      amnesia = std::make_unique<attack::PortAmnesiaAttack>(
-          loop, *f.attacker_a, *f.attacker_b,
-          ac.mode == attack::PortAmnesiaAttack::Mode::OutOfBand ? f.oob
-                                                                : nullptr,
-          ac);
-      amnesia->set_observability(config.obs);
-      amnesia->start();
-      break;
-    }
-    case LinkAttackKind::FlowRuleRelay: {
-      if (!config.attack_enabled) break;
-      // The relay switch is 0x3: its port 11 faces 0x2 (port 10), its
-      // port 10 faces 0x4 (port 11) — the FlowRuleRelay defaults.
-      flowrule = std::make_unique<attack::FlowRuleRelay>(
-          f.tb->control_channel(0x3), attack::FlowRuleRelay::Config{});
-      flowrule->start();
-      break;
-    }
-  }
-
-  // Give the fabricated link two LLDP rounds to register, then resume
-  // fresh flows (which will cross it if it exists).
-  f.tb->run_for(Duration::seconds(32));
-  benign_traffic = true;
-  f.tb->run_for(config.attack_window - Duration::seconds(32));
+  // Launch the attack (skipped entirely on clean-baseline runs), give
+  // the fabricated link two LLDP rounds to register, then resume fresh
+  // flows (which will cross it if it exists).
+  const LinkAttack attack =
+      config.attack_enabled
+          ? launch(config.kind, site, config.blackhole, config.obs)
+          : LinkAttack{};
+  tb.run_for(registration);
+  session_on = true;
+  tb.run_for(config.attack_window - registration);
 
   out.link_present_at_end = fabricated_present();
-  if (classic) {
-    out.lldp_relayed = classic->lldp_relayed();
-    out.transit_bridged = classic->transit_bridged();
-  }
-  if (amnesia) {
-    out.lldp_relayed = amnesia->lldp_relayed();
-    out.transit_bridged = amnesia->transit_bridged();
-    out.flaps = amnesia->flaps();
-  }
-  if (flowrule) {
-    // The injected rules' own counters say how many LLDP frames the
-    // switch spliced past the controller.
-    for (const auto& e : f.tb->get_switch(0x3).flow_table().entries()) {
-      if (e.cookie == attack::FlowRuleRelay::Config{}.cookie) {
-        out.lldp_relayed += e.packet_count;
-      }
-    }
-  }
-  out.mitm_traffic = out.transit_bridged > 0;
+  attack.report(site, out);
   out.alerts_total = ctrl.alerts().count();
   out.alerts_topoguard = ctrl.alerts().count_from("TopoGuard");
   out.alerts_sphinx = ctrl.alerts().count_from("SPHINX");
   out.alerts_cmm = ctrl.alerts().count_from("CMM");
   out.alerts_lli = ctrl.alerts().count_from("LLI");
   out.alerts_anomaly = ctrl.alerts().count_from("AnomalyIDS");
-  if (anomaly) {
-    out.anomaly = anomaly->counters();
-    if (config.anomaly_trainer != nullptr) config.anomaly_trainer->end_trial();
-    ctrl.set_anomaly_detector(nullptr);
-  }
-  if (check::InvariantChecker* checker = f.tb->invariant_checker()) {
-    checker->final_check();
-    out.invariant_sweeps = checker->checks_run();
-    out.invariant_violations = checker->violation_count();
-  }
-  out.events_executed = loop.events_executed();
-  if (config.collect_pipeline_stats) out.pipeline_stats = ctrl.pipeline().stats();
-  // Mirror the final module counters into the registry and detach the
-  // collectors before the testbed (which they borrow) is destroyed.
-  if (config.obs != nullptr) config.obs->finalize(loop.now());
+  detach_anomaly_ids(tb, config.anomaly_trainer, anomaly.get(), out.anomaly);
+  harvest(tb, config.collect_pipeline_stats, config.obs, out);
   return out;
+}
+
+LinkAttackOutcome run_link_attack(const LinkAttackConfig& config) {
+  // The Fig. 9 testbed is the paper's evaluation network for all link
+  // attacks; keep its latency profile regardless of suite.
+  const TestbedOptions suite = suite_options(config.suite, config.seed);
+  TestbedOptions o = fig9_options(config.seed);
+  o.controller.authenticate_lldp = suite.controller.authenticate_lldp;
+  o.controller.lldp_timestamps = suite.controller.lldp_timestamps;
+  Fig9Testbed f = make_fig9_testbed(trial_options(std::move(o), config));
+  AttackSite site;
+  site.tb = f.tb.get();
+  site.victim = f.h2;
+  site.peer = f.h1;
+  site.attacker = f.attacker_a;
+  site.attacker_b = f.attacker_b;
+  site.attacker_loc = f.a_loc;
+  site.attacker_b_loc = f.b_loc;
+  site.oob = f.oob;
+  // 0x3's rules (the FlowRuleRelay default ports) splice its port 11,
+  // facing 0x2 port 10, to its port 10, facing 0x4 port 11.
+  site.relay_dpid = 0x3;
+  site.relay_link = topo::Link{of::Location{0x2, 10}, of::Location{0x4, 11}};
+  site.warm_up = [&f] { fig9_warm_hosts(f); };
+  return link_attack_script(config, site);
 }
 
 // ---------------------------------------------------------------------
@@ -350,92 +401,70 @@ class HijackObserver final : public ctrl::DefenseModule {
 
 }  // namespace
 
-HijackOutcome run_hijack(const HijackConfig& config) {
-  Fig2Testbed f = make_fig2_testbed([&] {
-    TestbedOptions o = suite_options(config.suite, config.seed);
-    // Also stops start() from auto-attaching the audit battery when the
-    // caller opted out (benches); see the explicit enable below.
-    o.check_invariants = config.check_invariants;
-    if (config.profile) o.controller.profile = *config.profile;
-    if (config.arena != nullptr) o.loop = &config.arena->acquire();
-    return o;
-  }());
-  ctrl::Controller& ctrl = f.tb->controller();
-  sim::EventLoop& loop = f.tb->loop();
-  defense::SecureBindingConfig enrollment;
-  enrollment.registry[Fig2Testbed::kVictimToken] =
-      defense::Enrollment{"victim", f.victim->mac(), f.victim->ip()};
-  enrollment.registry[Fig2Testbed::kAttackerToken] =
-      defense::Enrollment{"attacker-device", f.attacker->mac(),
-                          f.attacker->ip()};
-  enrollment.registry[Fig2Testbed::kPeerToken] =
-      defense::Enrollment{"peer", f.peer->mac(), f.peer->ip()};
-  const DefenseHandles handles = install_suite(ctrl, config.suite, &enrollment);
-  if (config.check_invariants) {
-    f.tb->enable_invariant_checker(handles.topoguard);
-  }
-  if (config.obs != nullptr) f.tb->set_observability(config.obs);
+HijackOutcome race_script(const HijackConfig& config, const AttackSite& site) {
+  Testbed& tb = *site.tb;
+  ctrl::Controller& ctrl = tb.controller();
+  sim::EventLoop& loop = tb.loop();
   const std::unique_ptr<ids::ProfileAnomalyService> anomaly =
-      install_anomaly_ids(*f.tb, config.anomaly_profile,
-                          config.anomaly_trainer, config.anomaly_veto,
-                          config.obs);
+      arm(tb, config, site.enrollment);
 
   HijackOutcome out;
+  const net::MacAddress victim_mac = site.victim->mac();
+  const net::Ipv4Address victim_ip = site.victim->ip();
 
   attack::PortProbingConfig pc;
-  pc.victim_ip = f.victim_ip;
-  pc.probe_type = config.probe_type;
-  pc.probe_period = config.probe_period;
-  pc.probe_timeout = config.probe_timeout;
+  pc.victim_ip = victim_ip;
+  pc.probe_period = site.probe_period;
+  pc.probe_timeout = site.probe_timeout;
   pc.confirm_failures = config.confirm_failures;
   pc.nmap_overhead = config.nmap_overhead;
-  attack::PortProbingAttack attack{loop, f.tb->fork_rng(), *f.attacker, pc};
+  attack::PortProbingAttack attack{loop, tb.fork_rng(), *site.attacker, pc};
   attack.set_observability(config.obs);
 
   // Observer: confirm when the HTS re-binds the victim to the attacker.
   // The event fires before the HTS commits (and a defense may veto it),
   // so verify the actual binding one tick later.
-  auto observer = std::make_unique<HijackObserver>(
-      f.victim_mac, f.attacker_loc, [&]() {
+  ctrl.add_defense(std::make_unique<HijackObserver>(
+      victim_mac, site.attacker_loc, [&]() {
         loop.post_after(Duration::zero(), [&] {
-          const auto rec = ctrl.host_tracker().find(f.victim_mac);
-          if (rec && rec->loc == f.attacker_loc) {
+          const auto rec = ctrl.host_tracker().find(victim_mac);
+          if (rec && rec->loc == site.attacker_loc) {
             attack.mark_hijack_confirmed(loop.now());
             out.hijack_succeeded = true;
           }
         });
-      });
-  ctrl.add_defense(std::move(observer));
+      }));
 
   // Redirection check: count victim-bound pings landing on the attacker.
-  f.attacker->add_listener([&](const net::Packet& pkt) {
+  site.attacker->add_listener([&](const net::Packet& pkt) {
     const auto* icmp = pkt.icmp();
     if (icmp && icmp->type == net::IcmpPayload::Type::EchoRequest &&
-        pkt.ip && pkt.ip->dst == f.victim_ip && attack.identity_claimed()) {
+        pkt.ip && pkt.ip->dst == victim_ip && attack.identity_claimed()) {
       out.traffic_redirected = true;
     }
   });
 
-  f.tb->start(Duration::seconds(2));
-  fig2_warm_hosts(f);
+  tb.start(Duration::seconds(2));
+  site.warm_up();
+  if (site.start_background) site.start_background();
 
   // The peer keeps a session toward the victim alive.
   std::uint16_t seq = 0;
   const std::function<void()> peer_ping = [&]() {
-    f.peer->send_ping(f.victim_mac, f.victim_ip, 0x2222, seq++);
+    site.peer->send_ping(victim_mac, victim_ip, 0x2222, seq++);
     loop.post_after(Duration::millis(200), [&peer_ping] { peer_ping(); });
   };
   loop.post_after(Duration::zero(), [&peer_ping] { peer_ping(); });
 
   if (config.attack_enabled) attack.start();
-  f.tb->run_for(Duration::seconds(2));  // MAC acquisition + steady probing
+  tb.run_for(site.settle);  // MAC acquisition + steady probing
 
   // The victim begins a legitimate move at a random phase of the probe
   // cycle (this is what Figs. 5-8 average over).
-  sim::Rng phase_rng = f.tb->fork_rng();
-  const Duration phase = Duration::nanos(phase_rng.uniform_int(
-      0, config.probe_period.count_nanos()));
-  f.tb->run_for(phase);
+  sim::Rng phase_rng = tb.fork_rng();
+  const Duration phase = Duration::nanos(
+      phase_rng.uniform_int(0, site.probe_period.count_nanos()));
+  tb.run_for(phase);
 
   const SimTime victim_down = loop.now();
   if (config.obs != nullptr && config.attack_enabled) {
@@ -446,26 +475,26 @@ HijackOutcome run_hijack(const HijackConfig& config) {
     // Clean baseline: the victim never migrates; keep the timeline's
     // total duration identical so training covers the same sim span.
   } else if (config.victim_rejoins) {
-    migrate_host(*f.tb, *f.victim, *f.migration_target,
+    migrate_host(tb, *site.victim, *site.migration_target,
                  config.victim_downtime);
     // On rejoin the victim announces itself (DHCP/ARP chatter).
     loop.post_after(config.victim_downtime + Duration::millis(50),
-                    [&f, &config, &loop] {
-                      f.victim->send_arp_request(f.victim->ip());
+                    [&site, &config, &loop] {
+                      site.victim->send_arp_request(site.victim->ip());
                       if (config.obs != nullptr) {
                         config.obs->trace().instant(loop.now(), "scenario",
                                                     "victim.rejoin");
                       }
                     });
   } else {
-    f.victim->detach_link();
+    site.victim->detach_link();
   }
 
   // Sample the alert count just before the victim re-attaches (its
   // 802.1x supplicant announces the rejoin within milliseconds).
-  f.tb->run_for(config.victim_downtime - Duration::millis(10));
+  tb.run_for(config.victim_downtime - Duration::millis(10));
   out.alerts_before_rejoin = ctrl.alerts().count();
-  f.tb->run_for(Duration::seconds(3) + Duration::millis(10));
+  tb.run_for(Duration::seconds(3) + Duration::millis(10));
   out.alerts_after_rejoin = ctrl.alerts().count() - out.alerts_before_rejoin;
 
   const auto& tl = attack.timeline();
@@ -483,22 +512,30 @@ HijackOutcome run_hijack(const HijackConfig& config) {
   }
   out.alerts = ctrl.alerts().alerts();
   out.alerts_anomaly = ctrl.alerts().count_from("AnomalyIDS");
-  if (anomaly) {
-    out.anomaly = anomaly->counters();
-    if (config.anomaly_trainer != nullptr) config.anomaly_trainer->end_trial();
-    ctrl.set_anomaly_detector(nullptr);
-  }
-  if (check::InvariantChecker* checker = f.tb->invariant_checker()) {
-    checker->final_check();
-    out.invariant_sweeps = checker->checks_run();
-    out.invariant_violations = checker->violation_count();
-  }
-  out.events_executed = loop.events_executed();
-  if (config.collect_pipeline_stats) out.pipeline_stats = ctrl.pipeline().stats();
-  // Mirror the final module counters into the registry and detach the
-  // collectors before the testbed (which they borrow) is destroyed.
-  if (config.obs != nullptr) config.obs->finalize(loop.now());
+  detach_anomaly_ids(tb, config.anomaly_trainer, anomaly.get(), out.anomaly);
+  harvest(tb, config.collect_pipeline_stats, config.obs, out);
   return out;
+}
+
+HijackOutcome run_hijack(const HijackConfig& config) {
+  Fig2Testbed f = make_fig2_testbed(
+      trial_options(suite_options(config.suite, config.seed), config));
+  AttackSite site;
+  site.tb = f.tb.get();
+  site.victim = f.victim;
+  site.peer = f.peer;
+  site.attacker = f.attacker;
+  site.attacker_loc = f.attacker_loc;
+  site.migration_target = f.migration_target;
+  site.enrollment.registry[Fig2Testbed::kVictimToken] =
+      defense::Enrollment{"victim", f.victim->mac(), f.victim->ip()};
+  site.enrollment.registry[Fig2Testbed::kAttackerToken] =
+      defense::Enrollment{"attacker-device", f.attacker->mac(),
+                          f.attacker->ip()};
+  site.enrollment.registry[Fig2Testbed::kPeerToken] =
+      defense::Enrollment{"peer", f.peer->mac(), f.peer->ip()};
+  site.warm_up = [&f] { fig2_warm_hosts(f); };
+  return race_script(config, site);
 }
 
 // ---------------------------------------------------------------------
@@ -516,17 +553,16 @@ LliSeries run_lli_experiment(const LliExperimentConfig& config) {
   fig9_warm_hosts(f);
   f.tb->run_for(config.benign_window);
 
-  std::unique_ptr<attack::PortAmnesiaAttack> amnesia;
-  attack::OutOfBandChannel& channel = f.tb->add_oob_channel(config.channel);
-  if (config.launch_attack) {
-    attack::PortAmnesiaAttack::Config ac;
-    ac.mode = attack::PortAmnesiaAttack::Mode::OutOfBand;
-    ac.preposition_flap = true;  // CMM-evasive: only the LLI can catch it
-    amnesia = std::make_unique<attack::PortAmnesiaAttack>(
-        f.tb->loop(), *f.attacker_a, *f.attacker_b, &channel, ac);
-    amnesia->set_observability(config.obs);
-    amnesia->start();
-  }
+  AttackSite site;
+  site.tb = f.tb.get();
+  site.attacker = f.attacker_a;
+  site.attacker_b = f.attacker_b;
+  site.oob = &f.tb->add_oob_channel(config.channel);
+  // The CMM-evasive prepositioned flap: only the LLI can catch it.
+  const LinkAttack attack =
+      config.launch_attack
+          ? launch(LinkAttackKind::OobAmnesia, site, false, config.obs)
+          : LinkAttack{};
   f.tb->run_for(config.attack_window);
 
   LliSeries series;
@@ -552,8 +588,7 @@ LliSeries run_lli_experiment(const LliExperimentConfig& config) {
   for (const auto& [link, samples] : per_link_samples) {
     series.per_link.emplace_back(link, stats::summarize(samples));
   }
-  series.events_executed = f.tb->loop().events_executed();
-  if (config.obs != nullptr) config.obs->finalize(f.tb->loop().now());
+  harvest(*f.tb, false, config.obs, series);
   return series;
 }
 
@@ -713,14 +748,7 @@ ScanDetectionResult run_scan_detection(attack::ProbeType type,
   result.rate_per_s = rate_per_s;
   result.probes_sent = prober.probes_sent();
   result.ids_alerts = ids.alert_count();
-  if (check::InvariantChecker* checker = lab.tb.invariant_checker()) {
-    checker->final_check();
-    result.invariant_sweeps = checker->checks_run();
-    result.invariant_violations = checker->violation_count();
-  }
-  result.events_executed = lab.tb.loop().events_executed();
-  result.pipeline_stats = lab.tb.controller().pipeline().stats();
-  if (obs != nullptr) obs->finalize(lab.tb.loop().now());
+  harvest(lab.tb, true, obs, result);
   return result;
 }
 

@@ -1,13 +1,22 @@
 // Experiment drivers shared by the benchmarks, integration tests, and
 // examples. Each driver builds a canned testbed, runs one experiment
 // from the paper's evaluation, and returns a plain result struct.
+//
+// Each of the paper's two attacks has one script: race_script (Port
+// Probing host-location hijack, Figs. 5-8) and link_attack_script (link
+// fabrication / Port Amnesia, Sec. V-A). A script runs against an
+// AttackSite, the roles and constants one testbed binds: run_hijack and
+// run_link_attack bind the Fig. 2 / Fig. 9 testbeds, and the fleet
+// drivers (fleet.hpp) bind make_fleet_testbed.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "attack/flow_rule_relay.hpp"
 #include "attack/oob_channel.hpp"
 #include "attack/port_probing.hpp"
 #include "attack/probes.hpp"
@@ -62,6 +71,30 @@ DefenseHandles install_suite(
     ctrl::Controller& ctrl, DefenseSuite suite,
     const defense::SecureBindingConfig* enrollment = nullptr);
 
+/// `base` with a driver config's per-trial knobs applied: invariant
+/// checker on/off, controller profile, and the worker arena's loop.
+template <typename Config>
+TestbedOptions trial_options(TestbedOptions base, const Config& config) {
+  // Also stops start() from auto-attaching the audit battery when the
+  // caller opted out (benches); the scripts enable it explicitly.
+  base.check_invariants = config.check_invariants;
+  if (config.profile) base.controller.profile = *config.profile;
+  if (config.arena != nullptr) base.loop = &config.arena->acquire();
+  return base;
+}
+
+/// Counters every experiment driver reports.
+struct RunCounters {
+  /// Runtime invariant checker (src/check): battery runs and violations
+  /// over the whole experiment. Violations indicate a simulator bug.
+  std::uint64_t invariant_sweeps = 0;
+  std::uint64_t invariant_violations = 0;
+  /// Simulator events executed by this trial's loop (bench throughput).
+  std::uint64_t events_executed = 0;
+  /// Per-listener dispatch counters (filled when the config asks).
+  std::vector<ctrl::MessagePipeline::ListenerStats> pipeline_stats;
+};
+
 // ---------------------------------------------------------------------
 // Link fabrication / port amnesia (paper Sec. V-A, Figs. 10-13)
 // ---------------------------------------------------------------------
@@ -76,7 +109,7 @@ enum class LinkAttackKind {
 };
 const char* to_string(LinkAttackKind k);
 
-struct LinkAttackOutcome {
+struct LinkAttackOutcome : RunCounters {
   bool link_registered = false;      // fabricated link entered topology
   bool link_present_at_end = false;  // still poisoned at the end
   bool mitm_traffic = false;         // h1<->h2 flow crossed the attackers
@@ -92,14 +125,6 @@ struct LinkAttackOutcome {
   std::size_t alerts_anomaly = 0;  // ProfileAnomalyService raises
   /// Anomaly IDS deviation totals (zero-initialized when no IDS ran).
   ids::AnomalyCounters anomaly;
-  /// Runtime invariant checker (src/check): battery runs and violations
-  /// over the whole experiment. Violations indicate a simulator bug.
-  std::uint64_t invariant_sweeps = 0;
-  std::uint64_t invariant_violations = 0;
-  /// Simulator events executed by this trial's loop (bench throughput).
-  std::uint64_t events_executed = 0;
-  /// Per-listener dispatch counters (filled when the config asks).
-  std::vector<ctrl::MessagePipeline::ListenerStats> pipeline_stats;
   [[nodiscard]] bool detected() const {
     return alerts_total > alerts_before_attack;
   }
@@ -109,9 +134,11 @@ struct LinkAttackConfig {
   LinkAttackKind kind = LinkAttackKind::OobAmnesia;
   DefenseSuite suite = DefenseSuite::TopoGuard;
   std::uint64_t seed = 42;
-  /// Benign run before the attack starts (paper: 1 minute).
+  /// Benign run before the attack starts (paper: 1 minute; at least the
+  /// 10 s quiet tail on the Fig. 9 testbed).
   sim::Duration benign_window = sim::Duration::seconds(60);
-  /// Attack phase duration (covers several LLDP rounds).
+  /// Attack phase duration (covers several LLDP rounds; at least the
+  /// 32 s two-round registration horizon).
   sim::Duration attack_window = sim::Duration::seconds(60);
   /// Drop MITM transit instead of bridging it (SPHINX-visible DoS).
   bool blackhole = false;
@@ -154,9 +181,8 @@ LinkAttackOutcome run_link_attack(const LinkAttackConfig& config);
 struct HijackConfig {
   DefenseSuite suite = DefenseSuite::TopoGuard;
   std::uint64_t seed = 42;
-  attack::ProbeType probe_type = attack::ProbeType::ArpPing;
-  sim::Duration probe_period = sim::Duration::millis(50);
-  sim::Duration probe_timeout = sim::Duration::millis(35);
+  /// Prober regime: consecutive failed probes before declaring the
+  /// victim down, and the nmap engine-overhead model (Figs. 5-6).
   int confirm_failures = 1;
   bool nmap_overhead = false;
   /// Victim downtime window (VM live migration: seconds).
@@ -190,7 +216,7 @@ struct HijackConfig {
   bool anomaly_veto = false;
 };
 
-struct HijackOutcome {
+struct HijackOutcome : RunCounters {
   bool hijack_succeeded = false;  // HTS re-bound victim's MAC to attacker
   bool traffic_redirected = false;  // peer's victim-bound ping hit attacker
   // All durations in ms, measured from the instant the victim unplugged.
@@ -206,22 +232,60 @@ struct HijackOutcome {
   ids::AnomalyCounters anomaly;
   /// Full alert log (diagnostics and the alert-flood experiment).
   std::vector<ctrl::Alert> alerts;
-  /// Runtime invariant checker counters (see LinkAttackOutcome).
-  std::uint64_t invariant_sweeps = 0;
-  std::uint64_t invariant_violations = 0;
-  /// Simulator events executed by this trial's loop (bench throughput).
-  std::uint64_t events_executed = 0;
-  /// Per-listener dispatch counters (filled when the config asks).
-  std::vector<ctrl::MessagePipeline::ListenerStats> pipeline_stats;
 };
 
 HijackOutcome run_hijack(const HijackConfig& config);
 
 // ---------------------------------------------------------------------
+// Attack scripts
+// ---------------------------------------------------------------------
+
+/// The parts one testbed plays in the attack scripts, and the constants
+/// that differ between testbeds. Defaults are the paper's; the fleet
+/// overrides them. Borrowed pointers: the binder owns the testbed.
+struct AttackSite {
+  Testbed* tb = nullptr;
+  attack::Host* victim = nullptr;      // migrates (race); session sink (link)
+  attack::Host* peer = nullptr;        // keeps a session toward the victim
+  attack::Host* attacker = nullptr;    // prober (race); relay end (link)
+  attack::Host* attacker_b = nullptr;  // second relay end (link)
+  of::Location attacker_loc;           // the hijack re-binds the victim here
+  of::Location attacker_b_loc;  // host relays fabricate attacker_loc<->this
+  of::DataLink* migration_target = nullptr;
+  attack::OutOfBandChannel* oob = nullptr;
+  /// Flow-rule relay: the switch whose rules splice two fabric ports,
+  /// and the link discovery then fabricates between their far ends.
+  of::Dpid relay_dpid = 0;
+  attack::FlowRuleRelay::Config relay;
+  topo::Link relay_link;
+  defense::SecureBindingConfig enrollment;
+  /// Register the hosts with the HTS (called right after start()).
+  std::function<void()> warm_up;
+  /// Fork and attach background load (fleet only), after warm-up.
+  std::function<void()> start_background;
+  /// Race: prober cadence, and steady probing before the victim moves.
+  sim::Duration probe_period = sim::Duration::millis(50);
+  sim::Duration probe_timeout = sim::Duration::millis(35);
+  sim::Duration settle = sim::Duration::seconds(2);
+  /// Link script: pause the session for the last 10 s of the benign
+  /// window and the first 32 s of the attack, so flow rules idle out
+  /// and resumed traffic re-routes over whatever topology exists.
+  bool pause_session = true;
+};
+
+/// The Port Probing host-location hijack race (Figs. 5-8) on `site`.
+HijackOutcome race_script(const HijackConfig& config, const AttackSite& site);
+
+/// Link fabrication (Sec. V-A) on `site`: benign session, attack,
+/// registration poll. Asserts that the windows cover the fixed phases.
+LinkAttackOutcome link_attack_script(const LinkAttackConfig& config,
+                                     const AttackSite& site);
+
+// ---------------------------------------------------------------------
 // LLI latency series (paper Figs. 10-11, 13)
 // ---------------------------------------------------------------------
 
-struct LliSeries {
+struct LliSeries : RunCounters {
   struct Point {
     double t_s = 0.0;
     std::string link;
@@ -236,8 +300,6 @@ struct LliSeries {
   bool fake_link_ever_registered = false;
   /// Fig. 10: per-real-link latency summaries.
   std::vector<std::pair<std::string, stats::Summary>> per_link;
-  /// Simulator events executed by this trial's loop (bench throughput).
-  std::uint64_t events_executed = 0;
 };
 
 struct LliExperimentConfig {
@@ -273,18 +335,12 @@ struct ProbeTimingRow {
 ProbeTimingRow measure_probe_timing(attack::ProbeType type, std::size_t n,
                                     std::uint64_t seed);
 
-struct ScanDetectionResult {
+/// pipeline_stats is always filled: the chain is tiny.
+struct ScanDetectionResult : RunCounters {
   attack::ProbeType type;
   double rate_per_s = 0.0;
   std::uint64_t probes_sent = 0;
   std::size_t ids_alerts = 0;
-  /// Runtime invariant checker counters (see LinkAttackOutcome).
-  std::uint64_t invariant_sweeps = 0;
-  std::uint64_t invariant_violations = 0;
-  /// Simulator events executed by this trial's loop (bench throughput).
-  std::uint64_t events_executed = 0;
-  /// Per-listener dispatch counters (always filled: the chain is tiny).
-  std::vector<ctrl::MessagePipeline::ListenerStats> pipeline_stats;
   [[nodiscard]] bool detected() const { return ids_alerts > 0; }
 };
 

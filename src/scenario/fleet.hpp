@@ -9,12 +9,15 @@
 // further out — and the tail attachments stay vacant access links for
 // background mobility plus the victim's migration target.
 //
-// run_fleet_hijack / run_fleet_link_attack mirror the paper-testbed
-// drivers (experiments.hpp) but execute under deterministic background
-// load (scenario::BackgroundTraffic) and report fleet observables
-// (hosts tracked by the HTS, background stats) alongside the Fig. 5-8
-// race windows and detection results. Same (config, seed) -> byte-
-// identical outcome, which bench_fleet pins across --jobs counts.
+// run_fleet_hijack / run_fleet_link_attack bind the fleet's roles to the
+// same race and link-attack scripts the paper-testbed drivers run
+// (experiments.hpp). What differs is data on the binding: the probe
+// cadence re-derived for fat-tree round trips, a continuous benign
+// session, and deterministic background load
+// (scenario::BackgroundTraffic) attached after warm-up. The outcomes add
+// fleet observables (hosts tracked by the HTS, background stats) to the
+// paper outcomes. Same (config, seed) -> byte-identical outcome, which
+// bench_fleet pins across --jobs counts.
 #pragma once
 
 #include <cstdint>
@@ -76,13 +79,6 @@ struct FleetTestbed {
   [[nodiscard]] static std::uint64_t token_of(std::size_t index) {
     return kTokenBase + index;
   }
-
-  [[nodiscard]] topo::Link fabricated_link() const {
-    return topo::Link{attacker_loc, attacker_b_loc};
-  }
-  [[nodiscard]] bool fabricated_link_present() const {
-    return tb->controller().topology().has_link(attacker_loc, attacker_b_loc);
-  }
 };
 
 /// Build (but do not start) the fleet testbed.
@@ -111,24 +107,13 @@ struct FleetHijackConfig {
   topo::GeneratorConfig topology;
   DefenseSuite suite = DefenseSuite::None;
   std::uint64_t seed = 1;
+  /// Cap on instantiated hosts (FleetTestbedConfig::max_hosts).
   std::size_t max_hosts = 0;
-  std::size_t spare_access_links = 4;
 
-  /// Background load; background_on=false runs the identical timeline
-  /// on an idle fabric (the control cell benches compare against).
+  /// Background load (default BackgroundTrafficConfig);
+  /// background_on=false runs the identical timeline on an idle fabric
+  /// (the control cell benches compare against).
   bool background_on = true;
-  BackgroundTrafficConfig background;
-
-  // Probe engine. The cadence follows the paper (Figs. 5-8) but the
-  // timeout is re-derived for fleet geometry: an inter-pod fat-tree
-  // round trip crosses up to 8 fabric hops at 5 ms each (~41 ms RTT,
-  // plus micro-burst tail), so the paper's 35 ms two-switch timeout
-  // would declare a *live* victim down on every probe.
-  attack::ProbeType probe_type = attack::ProbeType::ArpPing;
-  sim::Duration probe_period = sim::Duration::millis(100);
-  sim::Duration probe_timeout = sim::Duration::millis(80);
-  int confirm_failures = 1;
-  bool nmap_overhead = false;
 
   /// Steady probing + background before the victim's move; kept short
   /// relative to run_hijack because every fleet second is expensive.
@@ -142,25 +127,13 @@ struct FleetHijackConfig {
   TrialArena* arena = nullptr;
 };
 
-struct FleetHijackOutcome {
-  bool hijack_succeeded = false;
-  bool traffic_redirected = false;
-  // Race windows relative to the victim's down instant (Figs. 5-8).
-  std::optional<double> down_to_final_probe_start_ms;
-  std::optional<double> down_to_declared_down_ms;
-  std::optional<double> down_to_iface_up_ms;
-  std::optional<double> down_to_confirmed_ms;
-
+/// The paper outcome plus the fleet observables.
+struct FleetHijackOutcome : HijackOutcome {
   /// HTS population at the end of the run (the fleet-scale observable:
   /// the race must be won against a full host table, not three hosts).
   std::size_t hosts_tracked = 0;
   BackgroundTraffic::Stats background;
-
   std::uint64_t alerts_total = 0;
-  std::uint64_t invariant_sweeps = 0;
-  std::uint64_t invariant_violations = 0;
-  std::uint64_t events_executed = 0;
-  std::vector<ctrl::MessagePipeline::ListenerStats> pipeline_stats;
 };
 
 FleetHijackOutcome run_fleet_hijack(const FleetHijackConfig& config);
@@ -170,17 +143,14 @@ struct FleetLinkAttackConfig {
   LinkAttackKind kind = LinkAttackKind::ClassicRelay;
   DefenseSuite suite = DefenseSuite::None;
   std::uint64_t seed = 1;
-  std::size_t max_hosts = 0;
-  std::size_t spare_access_links = 4;
 
+  /// Background load, as in FleetHijackConfig.
   bool background_on = true;
-  BackgroundTrafficConfig background;
 
-  /// Benign settle before the attack; the attack window must exceed the
-  /// ~32 s two-LLDP-round registration horizon (run_link_attack).
+  /// Benign settle before the attack; the attack window must cover the
+  /// 32 s two-LLDP-round registration horizon (link_attack_script).
   sim::Duration benign_window = sim::Duration::seconds(8);
   sim::Duration attack_window = sim::Duration::seconds(40);
-  bool blackhole = false;
 
   bool check_invariants = true;
   bool collect_pipeline_stats = false;
@@ -189,28 +159,10 @@ struct FleetLinkAttackConfig {
   TrialArena* arena = nullptr;
 };
 
-struct FleetLinkAttackOutcome {
-  bool link_registered = false;
-  bool link_present_at_end = false;
-  bool mitm_traffic = false;
-  std::uint64_t lldp_relayed = 0;
-  std::uint64_t transit_bridged = 0;
-  std::uint64_t flaps = 0;
-
+/// The paper outcome plus the fleet observables.
+struct FleetLinkAttackOutcome : LinkAttackOutcome {
   std::size_t hosts_tracked = 0;
   BackgroundTraffic::Stats background;
-
-  std::uint64_t alerts_before_attack = 0;
-  std::uint64_t alerts_total = 0;
-  std::uint64_t alerts_topoguard = 0;
-  std::uint64_t invariant_sweeps = 0;
-  std::uint64_t invariant_violations = 0;
-  std::uint64_t events_executed = 0;
-  std::vector<ctrl::MessagePipeline::ListenerStats> pipeline_stats;
-
-  [[nodiscard]] bool detected() const {
-    return alerts_total > alerts_before_attack;
-  }
 };
 
 FleetLinkAttackOutcome run_fleet_link_attack(

@@ -190,6 +190,39 @@ TEST(ExampleArgsTest, ModulesAndJobs) {
   EXPECT_FALSE(args.pipeline_stats);
 }
 
+TEST(ExampleArgsTest, MalformedModulesTokenExitsAtParseTime) {
+  // Used to warn and carry on with the default chain, exit 0.
+  const std::vector<const char*> argv =
+      argv_of({"--modules=foo,+NoSuchListener"});
+  EXPECT_EXIT((void)examples::parse_example_args(
+                  static_cast<int>(argv.size()),
+                  const_cast<char**>(argv.data()), {examples::modules_flag()}),
+              ::testing::ExitedWithCode(2),
+              "error: --modules token 'foo' is not 'list'");
+}
+
+TEST(ExampleArgsTest, UnknownModulesListenerExitsOnceTheChainIsBuilt) {
+  // A well-formed name is checked against the assembled chain: a known
+  // listener flips, an unknown one exits 2 instead of warning.
+  const std::vector<const char*> argv =
+      argv_of({"--modules", "-routing,+NoSuchListener"});
+  const examples::ExampleArgs args = examples::parse_example_args(
+      static_cast<int>(argv.size()), const_cast<char**>(argv.data()),
+      {examples::modules_flag()});
+  EXPECT_EXIT(
+      {
+        scenario::Testbed tb{scenario::TestbedOptions{}};
+        examples::apply_modules(tb.controller(), args);
+      },
+      ::testing::ExitedWithCode(2),
+      "error: --modules: no listener named 'NoSuchListener'");
+  examples::ExampleArgs known;
+  known.disable_modules = {"routing"};
+  scenario::Testbed tb{scenario::TestbedOptions{}};
+  examples::apply_modules(tb.controller(), known);
+  EXPECT_FALSE(tb.controller().pipeline().is_enabled("routing"));
+}
+
 // ---------------------------------------------------------------------
 // Rejections: each argv below exited 0 before the flag tables, with the
 // flag ignored or misread.

@@ -170,12 +170,25 @@ TEST(LinkAttackMatrix, NoAttackNoAlerts) {
   // Control: the benign Fig. 9 network under TopoGuard raises nothing.
   LinkAttackConfig cfg =
       link_cfg(LinkAttackKind::OobAmnesia, DefenseSuite::TopoGuard);
-  cfg.attack_window = 0_s;
-  cfg.benign_window = 60_s;
-  // kind irrelevant: zero attack window means the attack never launches
-  // meaningfully; assert only the benign phase.
+  // Clean baseline: the scenario timeline runs with the attack never
+  // launched; assert only the benign phase.
+  cfg.attack_enabled = false;
   const auto out = run_link_attack(cfg);
   EXPECT_EQ(out.alerts_before_attack, 0u);
+}
+
+TEST(LinkAttackMatrix, WindowsShorterThanTheFixedPhasesAreRejected) {
+  // The Fig. 9 timeline pauses the session for the last 10 s of the
+  // benign window, and the attack needs 32 s to register its link: a
+  // shorter window would be stretched silently into the same run.
+  LinkAttackConfig short_attack =
+      link_cfg(LinkAttackKind::OobAmnesia, DefenseSuite::TopoGuard);
+  short_attack.attack_window = 20_s;
+  EXPECT_DEATH((void)run_link_attack(short_attack), "two LLDP rounds");
+  LinkAttackConfig short_benign =
+      link_cfg(LinkAttackKind::OobAmnesia, DefenseSuite::TopoGuard);
+  short_benign.benign_window = 5_s;
+  EXPECT_DEATH((void)run_link_attack(short_benign), "quiet tail");
 }
 
 // ---------------- Host-location hijack ----------------

@@ -29,7 +29,17 @@ The per-controller profile layer adds two more:
      probe-before-move migration and OpenDaylight's gate-less
      broadcast chain) must produce identical tables at --jobs 1 vs 8.
 
+The same run/strip/diff code pins any other bench to a golden:
+
+  5. Golden stdout at two worker counts -- `--golden FILE BINARY FLAG...`
+     runs BINARY with the flags at --jobs 1 and at --jobs 4 and diffs
+     each stdout against FILE. The tier-1 goldens for `bench_montecarlo
+     --quick`, `bench_fleet --quick` and `bench_anomaly --quick` pin the
+     hijack race and link-attack scripts on the paper and fleet
+     testbeds (ctest golden.*_quick, CMakeLists.txt).
+
 Usage: check_pipeline_equivalence.py <bench_attack_matrix> <golden_dir>
+       check_pipeline_equivalence.py --golden <file> <binary> [flag ...]
 
 Exit status: 0 all checks pass, 1 a diff was found, 2 setup error.
 """
@@ -78,7 +88,24 @@ def show_diff(label: str, want: list[str], got: list[str]) -> bool:
     return False
 
 
+def check_golden(golden: Path, binary: Path, flags: list[str]) -> int:
+    if not golden.exists() or not binary.exists():
+        print(f"check_pipeline_equivalence: missing {golden} or {binary}",
+              file=sys.stderr)
+        return 2
+    want = golden.read_text(encoding="utf-8").splitlines()
+    ok = True
+    print(f"golden: {binary.name} {' '.join(flags)} vs {golden.name}")
+    for jobs in ["1", "4"]:
+        got = run_bench(binary, *flags, "--jobs", jobs)
+        ok &= show_diff(f"--jobs {jobs}", want, got)
+    return 0 if ok else 1
+
+
 def main() -> int:
+    if len(sys.argv) >= 4 and sys.argv[1] == "--golden":
+        return check_golden(Path(sys.argv[2]), Path(sys.argv[3]),
+                            sys.argv[4:])
     if len(sys.argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
