@@ -9,26 +9,25 @@
 //
 // Detection is counted per trial from the IDS's own alert stream
 // (LinkAttackOutcome/HijackOutcome::alerts_anomaly), next to the full
-// deviation breakdown. The headline contract, gated by --check and the
-// CI anomaly-smoke leg: zero false alerts on clean runs, detection on
-// the rows that evade every hand-written defense (out-of-band Port
-// Amnesia and the host-free flow-rule relay).
+// deviation breakdown. The headline contract, gated by --check (ctest
+// golden.anomaly_quick runs with it): zero false alerts on clean runs,
+// detection on the rows that evade every hand-written defense
+// (out-of-band Port Amnesia and the host-free flow-rule relay).
 //
 // Training is serial by design (a ProfileTrainer is fed in trial
 // order); evaluation fans out through TrialRunner::reduce with
 // order-independent counter merges, so stdout (minus the [bench]
-// footer) and the "anomaly" JSON payload are byte-identical for every
-// --jobs value; CI diffs jobs 1 vs 8.
+// footer) is byte-identical for every --jobs value.
 //
 //   --trials N   eval trials per row (default 6; --quick 2)
 //   --jobs N     worker threads (0 = hardware)
-//   --json PATH  bench record + "anomaly" per-profile row tables
 //   --check      exit 1 on clean false alerts or a missed detection on
-//                the must-catch rows (CI smoke gate)
-//   --obs        observed re-run of the flow-rule relay under the first
-//                trained baseline ("obs" key); --obs-out / --trace-out
-//                export its metrics / trace — the trace carries the
-//                ANOMALY_* instants tools/check_trace_schema.py pins
+//                the must-catch rows
+//   --obs-out / --trace-out
+//                observed re-run of the flow-rule relay under the first
+//                trained baseline; export its metrics / trace — the
+//                trace carries the ANOMALY_* instants
+//                tools/check_trace_schema.py pins
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -118,23 +117,6 @@ struct RowAcc {
   }
 };
 
-std::string row_json(const Row& row, const RowAcc& a) {
-  std::string s = "{\"row\": \"" + std::string(row.label) + "\"";
-  s += ", \"trials\": " + std::to_string(a.trials);
-  s += ", \"detected\": " + std::to_string(a.detected);
-  s += ", \"alerts\": " + std::to_string(a.alerts);
-  s += ", \"scored\": " + std::to_string(a.dev.scored);
-  s += ", \"deviations\": {";
-  s += "\"unseen_port\": " + std::to_string(a.dev.unseen_port);
-  s += ", \"unseen_transition\": " + std::to_string(a.dev.unseen_transition);
-  s += ", \"unseen_trigram\": " + std::to_string(a.dev.unseen_trigram);
-  s += ", \"lldp_src\": " + std::to_string(a.dev.lldp_src_violation);
-  s += ", \"rate_breach\": " + std::to_string(a.dev.rate_breach);
-  s += ", \"duration_outlier\": " + std::to_string(a.dev.duration_outlier);
-  s += "}}";
-  return s;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -157,9 +139,8 @@ int main(int argc, char** argv) {
 
   WallTimer timer;
   std::uint64_t events = 0;
-  std::string profiles_json = "[";
   std::vector<std::string> failures;
-  ids::BehaviorProfile first_baseline;  // kept for the --obs re-run
+  ids::BehaviorProfile first_baseline;  // kept for the observed re-run
 
   for (std::size_t p = 0; p < profiles.size(); ++p) {
     const ctrl::ControllerProfile& profile = profiles[p];
@@ -176,7 +157,7 @@ int main(int argc, char** argv) {
       lcfg.profile = profile;
       lcfg.attack_enabled = false;
       lcfg.anomaly_trainer = &trainer;
-      (void)scenario::run_link_attack(lcfg);
+      events += scenario::run_link_attack(lcfg).events_executed;
 
       scenario::HijackConfig hcfg;
       hcfg.suite = DefenseSuite::None;
@@ -185,7 +166,7 @@ int main(int argc, char** argv) {
       hcfg.profile = profile;
       hcfg.attack_enabled = false;
       hcfg.anomaly_trainer = &trainer;
-      (void)scenario::run_hijack(hcfg);
+      events += scenario::run_hijack(hcfg).events_executed;
     }
     const ids::BehaviorProfile baseline = trainer.finalize();
     if (p == 0) first_baseline = baseline;
@@ -256,21 +237,7 @@ int main(int argc, char** argv) {
       }
     }
     table.print();
-
-    if (p != 0) profiles_json += ", ";
-    profiles_json += "{\"controller\": \"" + profile.name + "\"";
-    profiles_json += ", \"train_trials\": " + std::to_string(baseline.trials);
-    profiles_json += ", \"train_events\": " + std::to_string(baseline.events);
-    profiles_json +=
-        ", \"ports_profiled\": " + std::to_string(baseline.ports.size());
-    profiles_json += ", \"rows\": [";
-    for (std::size_t r = 0; r < kNRows; ++r) {
-      if (r != 0) profiles_json += ", ";
-      profiles_json += row_json(kRows[r], rows[r]);
-    }
-    profiles_json += "]}";
   }
-  profiles_json += "]";
   const double wall_ms = timer.elapsed_ms();
 
   std::printf(
@@ -281,9 +248,9 @@ int main(int argc, char** argv) {
       train_trials * 2, per_row);
 
   if (!failures.empty()) {
-    std::printf("\n[bench] anomaly contract violations:\n");
+    std::printf("\nanomaly contract violations:\n");
     for (const std::string& f : failures) {
-      std::printf("[bench]   %s\n", f.c_str());
+      std::printf("  %s\n", f.c_str());
     }
   }
 
@@ -294,12 +261,7 @@ int main(int argc, char** argv) {
   result.jobs = runner.jobs();
   result.wall_ms = wall_ms;
   result.events = events;
-  result.extra_key = "anomaly";
-  result.extra_json =
-      "{\"trials_per_row\": " + std::to_string(per_row) +
-      ", \"train_trials\": " + std::to_string(train_trials * 2) +
-      ", \"profiles\": " + profiles_json + "}";
-  if (opts.obs) {
+  if (opts.observed()) {
     // Observed re-run of the headline detection (flow-rule relay vs the
     // first controller's trained baseline), kept out of the timed
     // workload. The exported trace carries the ANOMALY_* instants and
@@ -314,9 +276,8 @@ int main(int argc, char** argv) {
     cfg.anomaly_profile = &first_baseline;
     cfg.obs = &obs;
     (void)scenario::run_link_attack(cfg);
-    result.obs_metrics_json = obs.metrics_json(obs.final_time());
     if (!write_obs_artifacts(opts, obs)) return 1;
   }
-  if (!report_bench(opts, result)) return 1;
+  report_bench(result);
   return check && !failures.empty() ? 1 : 0;
 }

@@ -13,20 +13,14 @@
 // through TrialRunner::reduce() into streaming-quantile accumulators
 // inside per-worker TrialArenas; chunk boundaries and merge order
 // depend only on the trial count, so stdout (minus the [bench] footer)
-// and the "fleet" JSON payload are byte-identical for every --jobs
-// value (tools/run_bench.py --fleet-check diffs jobs 1 vs 8).
-//
-// A host-table microbench rides along: direct HostTable insert/lookup
-// throughput at fleet-beyond sizes (10^6 records), printed as [bench]
-// timing lines (wall-clock, excluded from the determinism diff) with
-// only the deterministic record/audit counts entering the JSON.
+// is byte-identical for every --jobs value (ctest golden.fleet_quick
+// diffs jobs 1 and 4).
 //
 //   --trials N   trials per (cell, attack) (default 4; --quick 2)
 //   --jobs N     worker threads (0 = hardware)
-//   --json PATH  bench record + "fleet" cell tables
-//   --obs        observed re-run of the first cell's hijack ("obs" key)
 //   --obs-out / --trace-out
-//                export that run's metrics JSON / trace JSONL to files
+//                observed re-run of the first cell's hijack; export its
+//                metrics JSON / trace JSONL to files
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -35,7 +29,6 @@
 
 #include "bench_harness.hpp"
 #include "bench_util.hpp"
-#include "ctrl/host_table.hpp"
 #include "ctrl/profiles.hpp"
 #include "obs/observability.hpp"
 #include "scenario/fleet.hpp"
@@ -49,60 +42,14 @@ using namespace tmg::bench;
 
 namespace {
 
-struct Metric {
-  const char* key;
-  const char* label;
-  std::optional<double> (*get)(const scenario::FleetHijackOutcome&);
-};
-
-const Metric kMetrics[] = {
-    {"iface_up_ms", "Fig5 iface-up",
-     [](const scenario::FleetHijackOutcome& o) {
-       return o.down_to_iface_up_ms;
-     }},
-    {"confirmed_ms", "Fig6 confirmed",
-     [](const scenario::FleetHijackOutcome& o) {
-       return o.down_to_confirmed_ms;
-     }},
-    {"final_probe_start_ms", "Fig7 probe-start",
-     [](const scenario::FleetHijackOutcome& o) {
-       return o.down_to_final_probe_start_ms;
-     }},
-    {"declared_down_ms", "Fig8 declared-down",
-     [](const scenario::FleetHijackOutcome& o) {
-       return o.down_to_declared_down_ms;
-     }},
-};
-constexpr std::size_t kNMetrics = sizeof(kMetrics) / sizeof(kMetrics[0]);
-
-struct Dist {
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  stats::StreamingQuantile p50{0.50};
-  stats::StreamingQuantile p90{0.90};
-
-  void fold(double x) {
-    ++count;
-    sum += x;
-    p50.add(x);
-    p90.add(x);
-  }
-  void merge(const Dist& other) {
-    count += other.count;
-    sum += other.sum;
-    p50.merge(other.p50);
-    p90.merge(other.p90);
-  }
-};
-
+// The hijack side of a cell: success count, tracked population and
+// the median controller-confirmation window (Fig. 6).
 struct HijackAcc {
   std::uint64_t trials = 0;
   std::uint64_t succeeded = 0;
   std::uint64_t events = 0;
   std::uint64_t hosts_tracked = 0;  // identical per trial; keep the max
-  std::uint64_t bg_flows = 0;
-  std::uint64_t bg_migrations = 0;
-  Dist dist[kNMetrics];
+  stats::StreamingQuantile confirmed_p50{0.50};
 
   void fold(const scenario::FleetHijackOutcome& out) {
     ++trials;
@@ -110,47 +57,31 @@ struct HijackAcc {
     events += out.events_executed;
     hosts_tracked = std::max(hosts_tracked,
                              static_cast<std::uint64_t>(out.hosts_tracked));
-    bg_flows += out.background.flows_started;
-    bg_migrations += out.background.migrations;
-    for (std::size_t m = 0; m < kNMetrics; ++m) {
-      if (const auto v = kMetrics[m].get(out)) dist[m].fold(*v);
-    }
+    if (out.down_to_confirmed_ms) confirmed_p50.add(*out.down_to_confirmed_ms);
   }
   void merge(const HijackAcc& other) {
     trials += other.trials;
     succeeded += other.succeeded;
     events += other.events;
     hosts_tracked = std::max(hosts_tracked, other.hosts_tracked);
-    bg_flows += other.bg_flows;
-    bg_migrations += other.bg_migrations;
-    for (std::size_t m = 0; m < kNMetrics; ++m) dist[m].merge(other.dist[m]);
+    confirmed_p50.merge(other.confirmed_p50);
   }
 };
 
 struct LinkAcc {
   std::uint64_t trials = 0;
   std::uint64_t registered = 0;
-  std::uint64_t mitm = 0;
   std::uint64_t events = 0;
-  std::uint64_t hosts_tracked = 0;
-  std::uint64_t bg_flows = 0;
 
   void fold(const scenario::FleetLinkAttackOutcome& out) {
     ++trials;
     if (out.link_registered) ++registered;
-    if (out.mitm_traffic) ++mitm;
     events += out.events_executed;
-    hosts_tracked = std::max(hosts_tracked,
-                             static_cast<std::uint64_t>(out.hosts_tracked));
-    bg_flows += out.background.flows_started;
   }
   void merge(const LinkAcc& other) {
     trials += other.trials;
     registered += other.registered;
-    mitm += other.mitm;
     events += other.events;
-    hosts_tracked = std::max(hosts_tracked, other.hosts_tracked);
-    bg_flows += other.bg_flows;
   }
 };
 
@@ -163,61 +94,6 @@ struct Cell {
   /// probe-before-move migration on the same fabric.
   std::optional<ctrl::ControllerProfile> profile;
 };
-
-std::string fmt_d(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-std::string dist_json(const Dist& d) {
-  if (d.count == 0) return "{\"count\": 0}";
-  std::string s = "{\"count\": " + std::to_string(d.count);
-  s += ", \"mean\": " + fmt_d(d.sum / static_cast<double>(d.count));
-  s += ", \"min\": " + fmt_d(d.p50.min());
-  s += ", \"p50\": " + fmt_d(d.p50.value());
-  s += ", \"p90\": " + fmt_d(d.p90.value());
-  s += ", \"max\": " + fmt_d(d.p50.max());
-  s += "}";
-  return s;
-}
-
-/// Direct sharded-table throughput at fleet-beyond population sizes
-/// (the HTS data structure, without the simulator around it). Returns
-/// the deterministic JSON fragment; timing goes to [bench] stdout.
-std::string host_table_microbench(std::size_t records) {
-  ctrl::HostTable table;
-  WallTimer insert_timer;
-  for (std::size_t i = 0; i < records; ++i) {
-    ctrl::HostRecord rec;
-    rec.mac = topo::fleet_mac(static_cast<std::uint32_t>(i));
-    rec.ip = topo::fleet_ip(static_cast<std::uint32_t>(i));
-    rec.loc = of::Location{1 + (i >> 6), static_cast<of::PortNo>(i & 63)};
-    table.insert(rec);
-  }
-  const double insert_ms = insert_timer.elapsed_ms();
-
-  WallTimer lookup_timer;
-  std::size_t found = 0;
-  for (std::size_t i = 0; i < records; ++i) {
-    found += table.find(topo::fleet_mac(static_cast<std::uint32_t>(i))) !=
-             nullptr;
-  }
-  const double lookup_ms = lookup_timer.elapsed_ms();
-  const std::vector<std::string> issues = table.audit();
-
-  std::printf(
-      "[bench] host-table: %zu learns in %.1f ms (%.3g/s), %zu lookups in "
-      "%.1f ms (%.3g/s)\n",
-      records, insert_ms, static_cast<double>(records) / (insert_ms / 1e3),
-      found, lookup_ms, static_cast<double>(records) / (lookup_ms / 1e3));
-
-  std::string s = "{\"records\": " + std::to_string(records);
-  s += ", \"found\": " + std::to_string(found);
-  s += ", \"audit_findings\": " + std::to_string(issues.size());
-  s += "}";
-  return s;
-}
 
 }  // namespace
 
@@ -305,53 +181,19 @@ int main(int argc, char** argv) {
 
   Table table({"Topology", "sw", "hosts", "bg", "hijack", "p50 confirm ms",
                "link-reg", "events/trial"});
-  std::string cells_json = "[";
   for (std::size_t c = 0; c < cells.size(); ++c) {
     const topo::GeneratedTopology shape = topo::generate(cells[c].gen);
     const HijackAcc& h = hijacks[c];
     const LinkAcc& l = links[c];
-    const Dist& confirmed = h.dist[1];
+    const std::string confirmed_p50 =
+        h.confirmed_p50.count() ? fmt("%.1f", h.confirmed_p50.value()) : "-";
     table.add_row(
         {cells[c].label, fmt_u(shape.switch_count()),
          fmt_u(h.hosts_tracked), cells[c].background ? "on" : "off",
-         fmt_u(h.succeeded) + "/" + fmt_u(h.trials),
-         confirmed.count ? fmt("%.1f", confirmed.p50.value()) : "-",
+         fmt_u(h.succeeded) + "/" + fmt_u(h.trials), confirmed_p50,
          fmt_u(l.registered) + "/" + fmt_u(l.trials),
          fmt_u((h.events + l.events) / (h.trials + l.trials))});
-
-    if (c != 0) cells_json += ", ";
-    cells_json += "{\"label\": \"" + cells[c].label + "\"";
-    cells_json += ", \"family\": \"" + shape.family + "\"";
-    cells_json += ", \"k\": " + std::to_string(cells[c].gen.k);
-    cells_json += ", \"switches\": " + std::to_string(shape.switch_count());
-    cells_json += ", \"background\": ";
-    cells_json += cells[c].background ? "true" : "false";
-    cells_json += ", \"profile\": \"" +
-                  (cells[c].profile ? cells[c].profile->name
-                                    : std::string{"Floodlight"}) +
-                  "\"";
-    cells_json += ", \"hijack\": {\"trials\": " + std::to_string(h.trials);
-    cells_json += ", \"succeeded\": " + std::to_string(h.succeeded);
-    cells_json += ", \"hosts_tracked\": " + std::to_string(h.hosts_tracked);
-    cells_json += ", \"events\": " + std::to_string(h.events);
-    cells_json += ", \"bg_flows\": " + std::to_string(h.bg_flows);
-    cells_json += ", \"bg_migrations\": " + std::to_string(h.bg_migrations);
-    cells_json += ", \"windows\": {";
-    for (std::size_t m = 0; m < kNMetrics; ++m) {
-      if (m != 0) cells_json += ", ";
-      cells_json += std::string("\"") + kMetrics[m].key +
-                    "\": " + dist_json(h.dist[m]);
-    }
-    cells_json += "}}";
-    cells_json += ", \"link_attack\": {\"trials\": " + std::to_string(l.trials);
-    cells_json += ", \"registered\": " + std::to_string(l.registered);
-    cells_json += ", \"mitm\": " + std::to_string(l.mitm);
-    cells_json += ", \"hosts_tracked\": " + std::to_string(l.hosts_tracked);
-    cells_json += ", \"events\": " + std::to_string(l.events);
-    cells_json += ", \"bg_flows\": " + std::to_string(l.bg_flows);
-    cells_json += "}}";
   }
-  cells_json += "]";
   table.print();
 
   std::printf(
@@ -361,9 +203,6 @@ int main(int argc, char** argv) {
       "through per-worker arenas; byte-identical at any --jobs.\n",
       per_cell, per_cell);
 
-  const std::string host_table_json =
-      host_table_microbench(opts.quick ? 200'000 : 1'000'000);
-
   BenchResult result;
   result.bench = "fleet";
   result.trials = per_cell * 2 * cells.size();
@@ -371,15 +210,10 @@ int main(int argc, char** argv) {
   result.jobs = runner.jobs();
   result.wall_ms = wall_ms;
   result.events = events;
-  result.extra_key = "fleet";
-  result.extra_json = "{\"trials_per_cell\": " + std::to_string(per_cell) +
-                      ", \"host_table\": " + host_table_json +
-                      ", \"cells\": " + cells_json + "}";
-  if (opts.obs) {
+  if (opts.observed()) {
     // Observed re-run of the first cell's hijack trial (seed 42), kept
-    // out of the timed sweep above. Its metrics land under "obs" in
-    // the JSON result; --obs-out and --trace-out export the snapshot /
-    // trace for tools/train_profile.
+    // out of the timed sweep above; --obs-out and --trace-out export
+    // the snapshot / trace for tools/train_profile.
     obs::Observability obs;
     scenario::FleetHijackConfig cfg;
     cfg.topology = cells.front().gen;
@@ -390,8 +224,8 @@ int main(int argc, char** argv) {
     cfg.check_invariants = false;
     cfg.obs = &obs;
     (void)scenario::run_fleet_hijack(cfg);
-    result.obs_metrics_json = obs.metrics_json(obs.final_time());
     if (!write_obs_artifacts(opts, obs)) return 1;
   }
-  return report_bench(opts, result) ? 0 : 1;
+  report_bench(result);
+  return 0;
 }

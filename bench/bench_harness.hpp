@@ -1,14 +1,15 @@
 // Benchmark harness: the harness flag sets, wall-clock timing, and the
-// BENCH.json emitter used by tools/run_bench.py.
+// closing bench report.
 //
-// A bench parses harness_flags() (--jobs N, --quick, --json PATH) joined
-// with the sets it also honours (cli/flags.hpp): trials_flag() and
-// obs_flags() (--obs, --obs-out PATH, --trace-out PATH; the exports
-// imply --obs). README.md's flag table says which bench takes which.
+// A bench parses harness_flags() (--jobs N, --quick) joined with the
+// sets it also honours (cli/flags.hpp): trials_flag() and obs_flags()
+// (--obs-out PATH, --trace-out PATH; either one triggers the observed
+// re-run). README.md's flag table says which bench takes which.
 //
 // Wall-clock time is host time (std::chrono), which is fine here: it
-// never feeds simulation results, only the perf report. src/ stays under
-// the determinism lint; bench/ is outside its scope by design.
+// never feeds simulation results, only the `[bench]` report line. src/
+// stays under the determinism lint; bench/ is outside its scope by
+// design.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +29,6 @@ struct HarnessOptions {
   std::size_t trials = 0;  // 0 = use the bench's default
   std::size_t jobs = 0;    // 0 = hardware concurrency
   bool quick = false;
-  bool obs = false;            // --obs: collect an observability snapshot
-  std::string json_path;
   std::string obs_out_path;    // --obs-out: metrics snapshot file
   std::string trace_out_path;  // --trace-out: trace JSONL export file
 
@@ -45,10 +44,16 @@ struct HarnessOptions {
     if (trials != 0) return trials;
     return quick ? quick_default : full_default;
   }
+
+  /// True when an export was requested: the bench re-runs a
+  /// representative trial with the observability layer attached.
+  [[nodiscard]] bool observed() const {
+    return !obs_out_path.empty() || !trace_out_path.empty();
+  }
 };
 
-/// A harness bench's table: --jobs, --quick and --json, which every
-/// harness bench honours, joined with the `extra` sets it also honours.
+/// A harness bench's table: --jobs and --quick, which every harness
+/// bench honours, joined with the `extra` sets it also honours.
 cli::Table harness_flags(std::initializer_list<cli::Table> extra = {});
 cli::Table trials_flag();
 cli::Table obs_flags();
@@ -84,27 +89,16 @@ struct BenchResult {
   std::string bench;           // short workload id, e.g. "attack_matrix"
   std::size_t trials = 0;      // trials executed
   std::uint64_t base_seed = 0; // seed the per-trial seeds derive from
-  std::size_t jobs = 0;        // worker threads used
+  std::size_t jobs = 0;        // worker threads used (TrialRunner::jobs)
   double wall_ms = 0.0;        // end-to-end wall-clock for the workload
   std::uint64_t events = 0;    // simulator events executed, all trials
-  double events_per_sec = 0.0; // derived: events / wall seconds
-  /// Optional observability snapshot (obs::Observability::metrics_json):
-  /// when non-empty it is embedded verbatim under the "obs" key.
-  std::string obs_metrics_json;
-  /// Optional bench-specific payload: when both are non-empty,
-  /// `extra_json` (a complete JSON value) is embedded verbatim under
-  /// `extra_key`. bench_montecarlo puts its quantile tables here; the
-  /// payload must be deterministic (no wall-clock content) so CI can
-  /// diff it across --jobs values.
-  std::string extra_key;
-  std::string extra_json;
 };
 
-/// Print a one-line summary and, when --json was given, write the result
-/// as a single JSON object. The {trials, base_seed, jobs} triple is
-/// always present (tools/run_bench.py keys reproduction off it), next to
-/// {bench, wall_ms, events, events_per_sec} and the optional "obs"
-/// snapshot. Returns false if the file could not be written.
-bool report_bench(const HarnessOptions& opts, BenchResult result);
+/// Print the closing report: a `[work]` line with the deterministic
+/// record {trials, base_seed, events}, identical at every --jobs value
+/// (the goldens pin it), then a `[bench]` line with the host-time part
+/// {jobs, wall time, events/s}. `[bench]` marks exactly the host-time
+/// lines, which tools/check_pipeline_equivalence.py strips.
+void report_bench(const BenchResult& result);
 
 }  // namespace tmg::bench

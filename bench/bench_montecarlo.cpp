@@ -11,15 +11,14 @@
 // worker runs its trials inside a per-worker TrialArena, so a sweep
 // reuses one warm event-loop slab per worker instead of reallocating
 // per trial. Chunk boundaries and the merge order depend only on the
-// trial count, so the quantile table (stdout and --json) is
-// byte-identical for every --jobs value; CI diffs jobs 1 vs 8.
+// trial count, so the quantile table is byte-identical for every
+// --jobs value (ctest golden.montecarlo_quick diffs jobs 1 and 4).
 //
 //   --trials N   trials per cell (default 1000; --quick 50)
 //   --jobs N     worker threads (0 = hardware)
-//   --json PATH  bench record + "montecarlo" quantile tables
-//   --obs        observed re-run of a representative trial ("obs" key)
 //   --obs-out / --trace-out
-//                export that run's metrics JSON / trace JSONL to files
+//                observed re-run of a representative trial; export its
+//                metrics JSON / trace JSONL to files
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -42,21 +41,20 @@ namespace {
 
 // The four race windows of Figs. 5-8, pulled out of one hijack outcome.
 struct Metric {
-  const char* key;    // JSON key
   const char* label;  // table label
   std::optional<double> (*get)(const scenario::HijackOutcome&);
 };
 
 const Metric kMetrics[] = {
-    {"iface_up_ms", "Fig5 iface-up",
+    {"Fig5 iface-up",
      [](const scenario::HijackOutcome& o) { return o.down_to_iface_up_ms; }},
-    {"confirmed_ms", "Fig6 confirmed",
+    {"Fig6 confirmed",
      [](const scenario::HijackOutcome& o) { return o.down_to_confirmed_ms; }},
-    {"final_probe_start_ms", "Fig7 probe-start",
+    {"Fig7 probe-start",
      [](const scenario::HijackOutcome& o) {
        return o.down_to_final_probe_start_ms;
      }},
-    {"declared_down_ms", "Fig8 declared-down",
+    {"Fig8 declared-down",
      [](const scenario::HijackOutcome& o) {
        return o.down_to_declared_down_ms;
      }},
@@ -112,26 +110,6 @@ struct CellAcc {
   }
 };
 
-std::string fmt_d(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-std::string dist_json(const Dist& d) {
-  if (d.count == 0) return "{\"count\": 0}";
-  std::string s = "{\"count\": " + std::to_string(d.count);
-  s += ", \"mean\": " + fmt_d(d.sum / static_cast<double>(d.count));
-  s += ", \"min\": " + fmt_d(d.p50.min());
-  s += ", \"p50\": " + fmt_d(d.p50.value());
-  s += ", \"p90\": " + fmt_d(d.p90.value());
-  s += ", \"p99\": " + fmt_d(d.p99.value());
-  s += ", \"max\": " + fmt_d(d.p50.max());
-  s += std::string(", \"exact\": ") + (d.p50.exact() ? "true" : "false");
-  s += "}";
-  return s;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -186,7 +164,6 @@ int main(int argc, char** argv) {
   // (minus the [bench] footer) doubles as a determinism gate.
   Table table({"Controller", "Defense", "Window", "n", "mean", "p50", "p90",
                "p99", "max"});
-  std::string cells_json = "[";
   std::size_t cell_idx = 0;
   for (std::size_t p = 0; p < profiles.size(); ++p) {
     for (std::size_t s = 0; s < sizeof(suites) / sizeof(suites[0]); ++s) {
@@ -206,23 +183,9 @@ int main(int argc, char** argv) {
                        fmt("%.2f", d.p99.value()),
                        fmt("%.2f", d.p50.max())});
       }
-      if (cell_idx != 0) cells_json += ", ";
-      cells_json += "{\"controller\": \"" + profiles[p].name + "\"";
-      cells_json += ", \"defense\": \"";
-      cells_json += scenario::to_string(suites[s]);
-      cells_json += "\", \"trials\": " + std::to_string(acc.trials);
-      cells_json += ", \"succeeded\": " + std::to_string(acc.succeeded);
-      cells_json += ", \"windows\": {";
-      for (std::size_t m = 0; m < kNMetrics; ++m) {
-        if (m != 0) cells_json += ", ";
-        cells_json += std::string("\"") + kMetrics[m].key +
-                      "\": " + dist_json(acc.dist[m]);
-      }
-      cells_json += "}}";
       ++cell_idx;
     }
   }
-  cells_json += "]";
   table.print();
 
   std::printf(
@@ -238,14 +201,11 @@ int main(int argc, char** argv) {
   result.jobs = runner.jobs();
   result.wall_ms = wall_ms;
   result.events = events;
-  result.extra_key = "montecarlo";
-  result.extra_json = "{\"trials_per_cell\": " + std::to_string(per_cell) +
-                      ", \"cells\": " + cells_json + "}";
-  if (opts.obs) {
+  if (opts.observed()) {
     // Observed re-run of one representative trial (first profile,
-    // undefended, seed 42), kept out of the timed sweep above. Its
-    // metrics land under "obs" in the JSON result; --obs-out and
-    // --trace-out export the snapshot / trace for tools/train_profile.
+    // undefended, seed 42), kept out of the timed sweep above;
+    // --obs-out and --trace-out export the snapshot / trace for
+    // tools/train_profile.
     obs::Observability obs;
     scenario::HijackConfig cfg;
     cfg.suite = scenario::DefenseSuite::None;
@@ -254,8 +214,8 @@ int main(int argc, char** argv) {
     cfg.check_invariants = false;
     cfg.obs = &obs;
     (void)scenario::run_hijack(cfg);
-    result.obs_metrics_json = obs.metrics_json(obs.final_time());
     if (!write_obs_artifacts(opts, obs)) return 1;
   }
-  return report_bench(opts, result) ? 0 : 1;
+  report_bench(result);
+  return 0;
 }

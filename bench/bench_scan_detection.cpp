@@ -60,5 +60,6 @@ int main(int argc, char** argv) {
   result.jobs = runner.jobs();
   result.wall_ms = wall_ms;
   result.events = events;
-  return report_bench(opts, result) ? 0 : 1;
+  report_bench(result);
+  return 0;
 }

@@ -29,8 +29,7 @@ struct HijackSeries {
 /// @param nmap_regime  true: nmap engine overhead + 2-scan confirmation
 ///        (the paper's Figs. 5-6 measurement regime); false: raw probe
 ///        exchanges with a single 35 ms timeout (Figs. 7-8 regime).
-/// @param runner_opts  worker count + scheduler selection (see
-///        scenario::TrialRunnerOptions).
+/// @param runner_opts  worker count (see scenario::TrialRunnerOptions).
 inline HijackSeries collect_hijack_metric(
     std::size_t n, bool nmap_regime,
     const std::function<std::optional<double>(
@@ -88,7 +87,7 @@ inline void print_series(const HijackSeries& series, const char* unit,
 
 /// Full driver for one hijack-timing figure: parse flags, print the
 /// banner, run the series (`full_default` trials; 25 under --quick),
-/// print, report JSON.
+/// print, report.
 inline int run_hijack_figure(int argc, char** argv, const char* figure,
                              const char* title, const char* bench_id,
                              std::size_t full_default, bool nmap_regime,
@@ -110,7 +109,8 @@ inline int run_hijack_figure(int argc, char** argv, const char* figure,
   result.jobs = scenario::TrialRunner{opts.runner_options()}.jobs();
   result.wall_ms = wall_ms;
   result.events = series.events;
-  return report_bench(opts, result) ? 0 : 1;
+  report_bench(result);
+  return 0;
 }
 
 }  // namespace tmg::bench

@@ -93,9 +93,8 @@ TEST(ParseJobsTest, TrailingJobsFlagExitsNamingIt) {
 
 TEST(ParseHarnessArgsTest, TrailingValueFlagExitsNamingIt) {
   // A value-taking flag as the last argument must fail loudly: a
-  // dropped --json would write no file while the bench exits 0.
-  for (const char* flag :
-       {"--json", "--trials", "--jobs", "--obs-out", "--trace-out"}) {
+  // dropped --trace-out would write no file while the bench exits 0.
+  for (const char* flag : {"--trials", "--jobs", "--obs-out", "--trace-out"}) {
     std::vector<const char*> argv = argv_of({"--quick", flag});
     EXPECT_EXIT(bench::parse_harness_args(
                     static_cast<int>(argv.size()),
@@ -109,17 +108,16 @@ TEST(ParseHarnessArgsTest, TrailingValueFlagExitsNamingIt) {
 
 TEST(ParseHarnessArgsTest, ParsesValueFlagsInBothSpellings) {
   std::vector<const char*> argv =
-      argv_of({"--trials", "7", "--json=out.json", "--obs-out", "m.json",
-               "--trace-out=t.jsonl", "--jobs", "2"});
+      argv_of({"--trials", "7", "--obs-out", "m.json", "--trace-out=t.jsonl",
+               "--jobs", "2"});
   const bench::HarnessOptions opts = bench::parse_harness_args(
       static_cast<int>(argv.size()), const_cast<char**>(argv.data()),
       {bench::trials_flag(), bench::obs_flags()});
   EXPECT_EQ(opts.trials, 7u);
   EXPECT_EQ(opts.jobs, 2u);
-  EXPECT_EQ(opts.json_path, "out.json");
   EXPECT_EQ(opts.obs_out_path, "m.json");
   EXPECT_EQ(opts.trace_out_path, "t.jsonl");
-  EXPECT_TRUE(opts.obs);  // the export flags imply --obs
+  EXPECT_TRUE(opts.observed());  // the exports trigger the observed re-run
   EXPECT_FALSE(opts.quick);
 }
 
@@ -130,8 +128,8 @@ TEST(ParseHarnessArgsTest, AbsentFlagsKeepTheDefaults) {
   EXPECT_EQ(opts.trials, 0u);
   EXPECT_EQ(opts.jobs, 0u);
   EXPECT_FALSE(opts.quick);
-  EXPECT_FALSE(opts.obs);
-  EXPECT_TRUE(opts.json_path.empty());
+  EXPECT_FALSE(opts.observed());
+  EXPECT_TRUE(opts.trace_out_path.empty());
   EXPECT_EQ(opts.trial_count(100, 10), 100u);
 }
 
@@ -236,12 +234,13 @@ struct Rejection {
 };
 
 TEST(CliRejects, EveryIgnoredOrMisreadFlag) {
-  const Table table1 = harness_base();  // bench_table1_probes
+  const Table table1 = harness_base();          // bench_table1_probes
+  const Table montecarlo = harness_with_obs();  // bench_montecarlo
   const Table scan_lab = examples::example_flags({examples::jobs_flag()});
   const Table amnesia = examples::example_flags({examples::profile_flag()});
   const std::vector<Rejection> cases = {
-      {"value consumed twice", table1, {"--json", "--quick"},
-       "--json expects a value"},
+      {"value consumed twice", montecarlo, {"--trace-out", "--quick"},
+       "--trace-out expects a value"},
       {"export flag on a bench that observes nothing", table1,
        {"--quick", "--trace-out", "F"}, "unknown flag '--trace-out'"},
       {"--profile on an example that ignores it", scan_lab,
@@ -249,16 +248,17 @@ TEST(CliRejects, EveryIgnoredOrMisreadFlag) {
       {"--modules on an example that does not own the controller", amnesia,
        {"--modules=list"}, "unknown flag '--modules'"},
       {"any flag on a bench that takes none", Table{},
-       {"--json", "f.json"},
-       "unknown flag '--json' (this program takes no flags)"},
+       {"--trace-out", "f.jsonl"},
+       "unknown flag '--trace-out' (this program takes no flags)"},
       {"typo", table1, {"--trails", "3"}, "unknown flag '--trails'"},
       {"repeated flag", table1, {"--jobs", "1", "--jobs", "3"},
        "--jobs given twice"},
       {"switch given a value", table1, {"--quick=1"},
        "--quick takes no value"},
-      {"empty joined value", table1, {"--json="}, "--json expects a value"},
-      {"empty split value", table1, {"--json", ""},
-       "--json expects a value"},
+      {"empty joined value", montecarlo, {"--trace-out="},
+       "--trace-out expects a value"},
+      {"empty split value", montecarlo, {"--trace-out", ""},
+       "--trace-out expects a value"},
       {"stray positional", table1, {"--quick", "extra"},
        "unexpected argument 'extra'"},
       {"malformed count", table1, {"--trials", "4x"},
@@ -273,8 +273,9 @@ TEST(CliRejects, EveryIgnoredOrMisreadFlag) {
 }
 
 TEST(CliRejects, UnknownFlagListsTheAcceptedOnes) {
-  EXPECT_EQ(parse_args(bench::harness_flags(), {"--chek"}).error,
-            "unknown flag '--chek' (accepted: --jobs --quick --json)");
+  EXPECT_EQ(parse_args(harness_with_obs(), {"--chek"}).error,
+            "unknown flag '--chek' (accepted: --jobs --quick --trials "
+            "--obs-out --trace-out)");
 }
 
 TEST(CliParseOrDie, ExitsTwoOnlyOnError) {
@@ -282,11 +283,12 @@ TEST(CliParseOrDie, ExitsTwoOnlyOnError) {
   EXPECT_EXIT(parse_or_die(Table{}, static_cast<int>(bad.size()), bad.data()),
               ::testing::ExitedWithCode(2),
               "error: unknown flag '--no-such-flag'");
-  const std::vector<const char*> good = argv_of({"--quick", "--json=x"});
-  const Args args = parse_or_die(bench::harness_flags(),
+  const std::vector<const char*> good =
+      argv_of({"--quick", "--trace-out=x"});
+  const Args args = parse_or_die(harness_with_obs(),
                                  static_cast<int>(good.size()), good.data());
   EXPECT_TRUE(args.has("--quick"));
-  EXPECT_EQ(args.value("--json"), "x");
+  EXPECT_EQ(args.value("--trace-out"), "x");
   EXPECT_FALSE(args.has("--jobs"));
   EXPECT_EQ(args.value("--jobs"), "");
   EXPECT_EQ(args.count("--jobs"), 0u);
@@ -294,9 +296,9 @@ TEST(CliParseOrDie, ExitsTwoOnlyOnError) {
 
 TEST(CliParse, JoinedValueKeepsEverythingAfterTheFirstEquals) {
   const ParseResult r =
-      parse_args(bench::harness_flags(), {"--json=a=b", "--jobs", "0"});
+      parse_args(harness_with_obs(), {"--trace-out=a=b", "--jobs", "0"});
   ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_EQ(r.args.value("--json"), "a=b");
+  EXPECT_EQ(r.args.value("--trace-out"), "a=b");
   EXPECT_EQ(r.args.value("--jobs"), "0");
 }
 

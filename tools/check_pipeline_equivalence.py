@@ -7,8 +7,11 @@ The refactor's correctness contract (DESIGN.md §9) has two halves:
      attack-matrix stdout must be byte-identical to the pre-refactor
      output. Routing every PacketIn / PortStatus / LLDP event through
      the ordered listener chain may not change a single simulated
-     result. The `[bench]` timing footers are the only nondeterministic
-     lines and are stripped before the diff. Goldens exist at 1, 3 and
+     result. `[bench]` marks exactly the host-time lines (jobs, wall
+     time, events/s); they are the only nondeterministic lines and are
+     stripped before the diff. The `[work]` record (trials, base seed,
+     simulator events) stays in, so every golden pins exact event
+     counts. Goldens exist at 1, 3 and
      10 trials per cell; the 10-trial table also pins the flow table,
      path cache and LLI window to the output they produced back when
      each still had a naive twin to diff against.
@@ -27,16 +30,18 @@ The per-controller profile layer adds two more:
 
   4. Per-profile determinism -- every profile (including ONOS's
      probe-before-move migration and OpenDaylight's gate-less
-     broadcast chain) must produce identical tables at --jobs 1 vs 8.
+     broadcast chain) must produce identical tables at --jobs 1 vs 8,
+     with the runtime invariant checker attached (`--check`: any
+     violation exits non-zero, and the sweep count is diffed too).
 
 The same run/strip/diff code pins any other bench to a golden:
 
-  5. Golden stdout at two worker counts -- `--golden FILE BINARY FLAG...`
-     runs BINARY with the flags at --jobs 1 and at --jobs 4 and diffs
-     each stdout against FILE. The tier-1 goldens for `bench_montecarlo
-     --quick`, `bench_fleet --quick` and `bench_anomaly --quick` pin the
-     hijack race and link-attack scripts on the paper and fleet
-     testbeds (ctest golden.*_quick, CMakeLists.txt).
+  5. Golden stdout -- `--golden FILE BINARY FLAG...` runs BINARY once
+     per `--jobs N` pair among the flags, with the other flags and that
+     one pair, and diffs each stdout against FILE. With no `--jobs` in
+     the flags it runs BINARY once with the flags as given: the flagless
+     benches reject `--jobs`. CMakeLists.txt says which bench is which
+     (ctest golden.*).
 
 Usage: check_pipeline_equivalence.py <bench_attack_matrix> <golden_dir>
        check_pipeline_equivalence.py --golden <file> <binary> [flag ...]
@@ -94,11 +99,19 @@ def check_golden(golden: Path, binary: Path, flags: list[str]) -> int:
               file=sys.stderr)
         return 2
     want = golden.read_text(encoding="utf-8").splitlines()
+    common: list[str] = []
+    runs: list[list[str]] = []
+    args = iter(flags)
+    for flag in args:
+        if flag == "--jobs":
+            runs.append(["--jobs", next(args, "")])
+        else:
+            common.append(flag)
     ok = True
-    print(f"golden: {binary.name} {' '.join(flags)} vs {golden.name}")
-    for jobs in ["1", "4"]:
-        got = run_bench(binary, *flags, "--jobs", jobs)
-        ok &= show_diff(f"--jobs {jobs}", want, got)
+    print(f"golden: {' '.join([binary.name, *common])} vs {golden.name}")
+    for run in runs or [[]]:
+        got = run_bench(binary, *common, *run)
+        ok &= show_diff(" ".join(run) or "no flags", want, got)
     return 0 if ok else 1
 
 
@@ -146,9 +159,9 @@ def main() -> int:
     ok &= show_diff("floodlight profile vs golden", want, got)
 
     print("pipeline equivalence: per-profile determinism across worker "
-          "counts")
+          "counts, invariant checker on")
     for profile in ["floodlight", "pox", "opendaylight", "onos"]:
-        flags = ["--trials", "2", f"--profile={profile}"]
+        flags = ["--trials", "2", f"--profile={profile}", "--check"]
         first = run_bench(binary, *flags, "--jobs", "1")
         second = run_bench(binary, *flags, "--jobs", "8")
         ok &= show_diff(f"{profile} --jobs 1 vs --jobs 8", first, second)

@@ -2,7 +2,7 @@
 """Offline anomaly-IDS round-trip: export -> train -> validate.
 
 Drives the full offline training loop end to end and fails if any link
-breaks (the CI anomaly-smoke leg and the obs.profile_roundtrip ctest):
+breaks (the obs.profile_roundtrip ctest):
 
   1. run a bench with --trace-out to export a clean-run TraceLog JSONL;
   2. schema-check the export (check_trace_schema.check_file);

@@ -24,9 +24,10 @@ ids::BehaviorProfile::to_json shape): port entries keyed by
 "0x<dpid>:<port>" locations, bigram/trigram tables over the ten-symbol
 alphabet, non-negative rate envelopes, and ordered duration quantiles.
 
-Exit status: 0 when every file is clean, 1 otherwise. Used by the CI
-obs-smoke leg on the defense_stacked --trace-out export and the
-anomaly-smoke leg on the trained profile.
+Exit status: 0 when every file is clean, 1 otherwise. Used by the
+obs.trace_schema ctest on the --trace-out exports of defense_stacked,
+attack_port_probing and bench_anomaly --quick, and by
+tools/check_profile_roundtrip.py on the trained profile.
 """
 
 from __future__ import annotations
